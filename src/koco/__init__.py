@@ -12,9 +12,9 @@ from .errors import (ConfigError, DimensionMismatch, KocoError, NoConvergence,
 from .kernels import KernelSpec, cross_vector, eval_kernel, gaussian, gram, linear, polynomial
 from .kons import Kons, KonsConfig, RegretReport, StepRecord, eta_at, regret_report
 from .kors import Dictionary, KorsConfig, KorsSampler, dict_size_bound, required_budget
-from .linalg import RegularizedInverse, append_block_inverse, gram_shift_product, psd_solve, sym_eigvals
-from .losses import (CurvatureProfile, LossEvent, clip_excess, clip_to_interval,
-                     curvature_profile, loss_derivative, loss_value)
+from .linalg import RegularizedInverse, gram_shift_product, psd_solve, sym_eigvals
+from .losses import (CurvatureProfile, LossEvent, clip_to_interval, curvature_profile,
+                     loss_derivative, loss_value)
 from .oracle import (ComparatorResult, best_comparator, effective_dimension,
                      exact_rls, logdet_chain, online_effective_dimension,
                      prefix_rls, primal_ons, spectral_audit)

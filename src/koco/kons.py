@@ -1,12 +1,15 @@
-"""Exact kernel online Newton-step learner.
+"""Kernel online Newton-step learning: the shared core and the exact learner.
 
-The learner never materializes feature-space weights. Each round it
-predicts from a coefficient vector b over past rounds and a maintained
-regularized inverse of the gradient-rescaled gram matrix, then folds
-the observed derivative into one new coefficient and one appended
-row/column. Predictions provably coincide with the explicit-feature
-projected Newton recursion, which the test suite checks against the
-oracle module at every step.
+The learners never materialize feature-space weights. Each round they
+predict from a coefficient vector b over past rounds and a maintained
+regularized inverse of the gradient-rescaled gram matrix, then fold the
+observed derivative into one new coefficient and, when the round's
+column is selected, one appended row/column. `NewtonCore` holds all of
+this; the exact learner `Kons` selects every column and the sketched
+learner (`koco.skons`) selects by a sampler coin. The exact learner's
+predictions provably coincide with the explicit-feature projected
+Newton recursion, which the test suite checks against the oracle module
+at every step.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_vector, eval_kernel
-from .linalg import RegularizedInverse
+# eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
+# stays because perfbench's tracer hooks its kernels.diag layer on it
+from .kernels import KernelSpec, cross_vector, eval_kernel  # noqa: F401
+from .linalg import RegularizedInverse, grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
 
 ETA_FIXED_SIGMA = "fixed-sigma"
@@ -76,46 +81,48 @@ class StepRecord:
     elapsed_us: float = 0.0
 
 
-class Kons:
-    """Exact second-order kernel online learner with clipped predictions.
+class NewtonCore:
+    """Kernel Newton-step learner with clipped predictions, less its
+    column-selection policy.
 
     One instance owns one stream; `step` is the driver path (predict,
-    observe, and account in one call). State grows by one rescaled
-    kernel row per round, so round t costs O(t^2) time.
+    observe, and account in one call). Each round predicts from the dual
+    coefficients b and the preconditioner, folds the observed derivative
+    into one new coefficient, and offers the round's rescaled kernel
+    column to the subclass's `_select`. That hook returns the record's
+    (tau, p_accept, accepted) and calls `_admit` for a column that
+    enters the preconditioner. The preconditioner covers the rounds in
+    `selected`; kernel rows, b and the cached rescaled-gram @ b cover
+    every round.
     """
 
-    def __init__(self, kernel: KernelSpec, cfg: KonsConfig):
+    def __init__(self, kernel: KernelSpec, cfg, kons_cfg: KonsConfig):
         self.kernel = kernel
         self.cfg = cfg
         self.t = 0
         self.rg_total = 0.0
-        self.reg_inv = RegularizedInverse(cfg.alpha)
-        self._pts: np.ndarray | None = None  # grows (cap, dim)
+        self.records: list[StepRecord] = []
+        self._kcfg = kons_cfg
+        self._precond = RegularizedInverse(kons_cfg.alpha)
+        self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first round
         self._d = np.zeros(16)       # gdot_i * sqrt(eta_i)
         self._b = np.zeros(16)       # dual coefficients
         self._kbar_b = np.zeros(16)  # cached rescaled-gram @ b
-        self.records: list[StepRecord] = []
+        self._sel = np.zeros(16, dtype=np.intp)  # rounds in the preconditioner
+        self._n_sel = 0
 
     # -- buffers ---------------------------------------------------------
 
     def _grow(self, n: int) -> None:
-        if self._d.shape[0] < n:
-            cap = max(2 * self._d.shape[0], n)
-            for name in ("_d", "_b", "_kbar_b"):
-                old = getattr(self, name)
-                new = np.zeros(cap)
-                new[: self.t] = old[: self.t]
-                setattr(self, name, new)
-        if self._pts is not None and self._pts.shape[0] < n:
-            cap = max(2 * self._pts.shape[0], n)
-            new = np.zeros((cap, self._pts.shape[1]))
-            new[: self.t] = self._pts[: self.t]
-            self._pts = new
+        t = self.t
+        self._pts = grown(self._pts, n, t)
+        self._d = grown(self._d, n, t)
+        self._b = grown(self._b, n, t)
+        self._kbar_b = grown(self._kbar_b, n, t)
+        self._sel = grown(self._sel, n, self._n_sel)
 
     @property
     def points(self) -> np.ndarray:
-        if self._pts is None:
-            return np.zeros((0, 0))
         return self._pts[: self.t]
 
     @property
@@ -129,6 +136,19 @@ class Kons:
     @property
     def kbar_b(self) -> np.ndarray:
         return self._kbar_b[: self.t]
+
+    @property
+    def selected(self) -> np.ndarray:
+        """0-based rounds whose column is in the preconditioner."""
+        return self._sel[: self._n_sel]
+
+    def _cols(self, v: np.ndarray) -> np.ndarray:
+        """v restricted to the preconditioner's rounds."""
+        # selected rounds are distinct and increasing, so t of them are
+        # 0..t-1 and v is its own restriction
+        if self._n_sel == self.t:
+            return v
+        return v[self.selected]
 
     # -- prediction ------------------------------------------------------
 
@@ -145,9 +165,9 @@ class Kons:
         if self.t == 0:
             return 0.0, 0.0
         kd = k * self.d_scale
-        ybar = (float(kd @ self.b)
-                - float(kd @ self.reg_inv.apply(self.kbar_b))) / self.cfg.alpha
-        return ybar, clip_to_interval(ybar, self.cfg.clip_c)
+        corr = self._cols(kd) @ self._precond.apply(self._cols(self.kbar_b))
+        ybar = (float(kd @ self.b) - float(corr)) / self._kcfg.alpha
+        return ybar, clip_to_interval(ybar, self._kcfg.clip_c)
 
     # -- update ----------------------------------------------------------
 
@@ -155,41 +175,32 @@ class Kons:
         """Predict on x, incur the loss of ev, and absorb its derivative."""
         tic = time.perf_counter_ns()
         x = np.asarray(x, dtype=np.float64).reshape(-1)
+        t_new = self.t + 1
+        if not np.isfinite(x).all():
+            raise ValueError(f"round {t_new}: point contains NaN/Inf")
         k = self._cross(x)
         ybar, yhat = self._predict(k)
-        rec = self._observe(x, k, ev, ybar, yhat)
-        rec.elapsed_us = (time.perf_counter_ns() - tic) / 1e3
-        self.records.append(rec)
-        return rec
 
-    def observe(self, x, ev: LossEvent, ybar: float, yhat: float) -> StepRecord:
-        """Absorb one round whose prediction was already computed."""
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        rec = self._observe(x, self._cross(x), ev, ybar, yhat)
-        self.records.append(rec)
-        return rec
-
-    def _observe(self, x: np.ndarray, k: np.ndarray, ev: LossEvent,
-                 ybar: float, yhat: float) -> StepRecord:
-        t_new = self.t + 1
-        eta = eta_at(self.cfg, t_new)
+        cfg = self._kcfg
+        eta = eta_at(cfg, t_new)
         gdot = loss_derivative(ev, yhat)
         d_t = gdot * float(np.sqrt(eta))
 
         # rescaled kernel row of the new point (zero row when gdot == 0,
-        # which leaves the preconditioner untouched, as it must)
+        # which leaves the preconditioner untouched, as it must); every
+        # kernel in koco.kernels has k(x, x) = 1, so the corner is d_t^2
         kc = k * self.d_scale * d_t
-        kdiag = d_t * d_t * eval_kernel(self.kernel, x, x)
-
-        q_raw = (kdiag - float(kc @ self.reg_inv.apply(kc))) / self.cfg.alpha
+        kdiag = d_t * d_t
+        w = self._cols(kc)
+        q_raw = (kdiag - float(w @ self._precond.apply(w))) / cfg.alpha
         q = max(q_raw, Q_FLOOR)
         b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / np.sqrt(eta)
 
-        self.reg_inv.append(kc, kdiag)
-
-        if self._pts is None:
+        if self.t == 0:
             self._pts = np.zeros((16, x.shape[0]))
         self._grow(t_new)
+        tau, p_accept, accepted = self._select(x, d_t, w, kdiag, q_raw)
+
         self._pts[self.t] = x
         self._d[self.t] = d_t
         self._b[self.t] = b_t
@@ -197,16 +208,52 @@ class Kons:
         self._kbar_b[self.t] = float(kc @ self.b) + kdiag * b_t
         self.t = t_new
 
-        # leverage of the round in its own (post-update) preconditioner;
-        # the bordered corner gives it as q/(1+q)
-        tau = max(q_raw, 0.0) / (1.0 + max(q_raw, 0.0))
-        rg_inc = tau / eta
+        # leverage of the round in its own (post-update) preconditioner:
+        # the bordered corner gives q/(1+q) when its column entered, and
+        # q is the leverage against the preconditioner otherwise
+        q_pos = max(q_raw, 0.0)
+        rg_inc = (q_pos / (1.0 + q_pos) if accepted else q_pos) / eta
         self.rg_total += rg_inc
 
-        return StepRecord(t=t_new, ybar=ybar, yhat=yhat,
-                          loss=loss_value(ev, yhat), gdot=gdot, eta=eta,
-                          tau=tau, p_accept=1.0, accepted=1,
-                          dict_size=t_new, rg_increment=rg_inc)
+        rec = StepRecord(t=t_new, ybar=ybar, yhat=yhat,
+                         loss=loss_value(ev, yhat), gdot=gdot, eta=eta,
+                         tau=tau, p_accept=p_accept, accepted=accepted,
+                         dict_size=self._n_sel, rg_increment=rg_inc)
+        rec.elapsed_us = (time.perf_counter_ns() - tic) / 1e3
+        self.records.append(rec)
+        return rec
+
+    def _select(self, x: np.ndarray, d_t: float, w: np.ndarray, kdiag: float,
+                q_raw: float) -> tuple[float, float, int]:
+        """(tau, p_accept, accepted) of the round whose restricted column
+        is w with corner kdiag; admits the column when it is accepted."""
+        raise NotImplementedError
+
+    def _admit(self, w: np.ndarray, kdiag: float) -> None:
+        self._precond.append(w, kdiag)
+        self._sel[self._n_sel] = self.t
+        self._n_sel += 1
+
+
+class Kons(NewtonCore):
+    """Exact second-order kernel online learner with clipped predictions.
+
+    Every round's column enters the preconditioner, so state grows by
+    one rescaled kernel row per round and round t costs O(t^2) time.
+    """
+
+    def __init__(self, kernel: KernelSpec, cfg: KonsConfig):
+        super().__init__(kernel, cfg, cfg)
+
+    @property
+    def reg_inv(self) -> RegularizedInverse:
+        return self._precond
+
+    def _select(self, x, d_t, w, kdiag, q_raw):
+        # a singular append raises SchurNotPositive and aborts the round
+        self._admit(w, kdiag)
+        q_pos = max(q_raw, 0.0)
+        return q_pos / (1.0 + q_pos), 1.0, 1
 
     # -- audits ----------------------------------------------------------
 

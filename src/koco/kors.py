@@ -10,13 +10,13 @@ decides whether the point joins the dictionary with importance weight
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SchurNotPositive
-from .kernels import KernelSpec, cross_vector, eval_kernel
-from .linalg import SCHUR_RTOL, RegularizedInverse
+from .kernels import KernelSpec, cross_vector
+from .linalg import SCHUR_RTOL, RegularizedInverse, grown
 from .rng import bernoulli, named_rng
 
 
@@ -71,20 +71,44 @@ class KorsStep:
     size: int
 
 
-@dataclass
 class Dictionary:
-    """Sampler state: member list plus the weighted selection inverse."""
+    """Sampler state: member list, the members' kernel data in grown
+    arrays aligned with `entries`, and the weighted selection inverse."""
 
-    entries: list[DictEntry] = field(default_factory=list)
-    sub_inv: RegularizedInverse | None = None
-    # kernel data of the members, aligned with `entries`; sweights are the
-    # selection-matrix diagonal entries 1/sqrt(prob)
-    points: list[np.ndarray] = field(default_factory=list)
-    d_scale: list[float] = field(default_factory=list)
-    sweights: list[float] = field(default_factory=list)
+    def __init__(self, alpha: float):
+        self.entries: list[DictEntry] = []
+        self.sub_inv = RegularizedInverse(alpha)
+        self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first member
+        self._d = np.zeros(16)
+        self._sw = np.zeros(16)
 
     def __len__(self):
         return len(self.entries)
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._pts[: len(self)]
+
+    @property
+    def d_scale(self) -> np.ndarray:
+        return self._d[: len(self)]
+
+    @property
+    def sweights(self) -> np.ndarray:
+        """Selection-matrix diagonal entries 1/sqrt(prob)."""
+        return self._sw[: len(self)]
+
+    def add(self, entry: DictEntry, x: np.ndarray, d_t: float, sweight: float) -> None:
+        n = len(self)
+        if n == 0:
+            self._pts = np.zeros((16, x.shape[0]))
+        self._pts = grown(self._pts, n + 1, n)
+        self._d = grown(self._d, n + 1, n)
+        self._sw = grown(self._sw, n + 1, n)
+        self._pts[n] = x
+        self._d[n] = d_t
+        self._sw[n] = sweight
+        self.entries.append(entry)
 
 
 class KorsSampler:
@@ -98,10 +122,10 @@ class KorsSampler:
     def __init__(self, kernel: KernelSpec, cfg: KorsConfig):
         self.kernel = kernel
         self.cfg = cfg
-        self.dict = Dictionary(sub_inv=RegularizedInverse(cfg.alpha))
+        self.dict = Dictionary(cfg.alpha)
         self._rng = named_rng(cfg.rng_seed, "kors-coins")
         self._pending: tuple[np.ndarray, float, np.ndarray, float] | None = None
-        self._counter = 0
+        self._rounds = 0  # points scored so far
 
     @property
     def size(self) -> int:
@@ -111,10 +135,10 @@ class KorsSampler:
 
     def _member_column(self, x: np.ndarray, d_t: float) -> np.ndarray:
         """Weighted rescaled kernel column of x against the members."""
-        if not self.dict.points:
+        if not len(self.dict):
             return np.zeros(0)
-        ks = cross_vector(self.kernel, np.vstack(self.dict.points), x)
-        return ks * np.asarray(self.dict.d_scale) * d_t * np.asarray(self.dict.sweights)
+        ks = cross_vector(self.kernel, self.dict.points, x)
+        return ks * self.dict.d_scale * d_t * self.dict.sweights
 
     def estimate_rls(self, x, d_t: float = 1.0) -> float:
         """Leverage over-estimate of x against dictionary-plus-self.
@@ -125,19 +149,17 @@ class KorsSampler:
         eviction realized by never materializing the bordered block.
         """
         x = np.asarray(x, dtype=np.float64).reshape(-1)
+        if not np.isfinite(x).all():
+            raise ValueError(f"round {self._rounds + 1}: point contains NaN/Inf")
+        self._rounds += 1
         cross = self._member_column(x, d_t)
-        kdiag = d_t * d_t * eval_kernel(self.kernel, x, x)
-        return self._estimate_from_column(cross, kdiag, stash=(x, d_t))
-
-    def _estimate_from_column(self, cross: np.ndarray, kdiag: float,
-                              stash=None) -> float:
+        kdiag = d_t * d_t  # k(x, x) = 1 for every kernel in koco.kernels
         s = self.dict.sub_inv.schur_complement(cross, kdiag)
         if s <= SCHUR_RTOL * (kdiag + self.cfg.alpha):
             raise SchurNotPositive(
                 f"temporary member made the selection matrix singular (s={s:.3e})")
+        self._pending = (x, d_t, cross, kdiag)
         tau = (1.0 + self.cfg.epsilon) * (1.0 - self.cfg.alpha / s)
-        if stash is not None:
-            self._pending = (stash[0], stash[1], cross, kdiag)
         return float(max(tau, 0.0))
 
     # -- sampling --------------------------------------------------------
@@ -154,18 +176,14 @@ class KorsSampler:
             w = 1.0 / p
             # fold the admission weight into the appended row/column
             self.dict.sub_inv.append(cross * np.sqrt(w), kdiag * w)
-            self.dict.entries.append(DictEntry(index=index, weight=w, prob=p))
-            self.dict.points.append(x)
-            self.dict.d_scale.append(d_t)
-            self.dict.sweights.append(np.sqrt(w))
+            self.dict.add(DictEntry(index=index, weight=w, prob=p), x, d_t, np.sqrt(w))
         return p, z
 
     def step(self, x, d_t: float = 1.0, index: int | None = None) -> KorsStep:
         """Score, flip, and (maybe) admit one stream point."""
-        if index is None:
-            self._counter += 1
-            index = self._counter
         tau = self.estimate_rls(x, d_t)
+        if index is None:
+            index = self._rounds
         p, z = self.sample(index, tau)
         return KorsStep(tau_tilde=tau, p_tilde=p, accepted=z, size=self.size)
 

@@ -21,7 +21,7 @@ SCHUR_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# validation and buffer helpers
 # ---------------------------------------------------------------------------
 
 def as_vec(entries) -> np.ndarray:
@@ -34,20 +34,14 @@ def as_vec(entries) -> np.ndarray:
     return v
 
 
-def as_sym(entries, atol: float = 1e-12) -> np.ndarray:
-    """Validate and return a dense symmetric float64 matrix.
-
-    Asymmetry beyond `atol` (absolute, entrywise) is an error; smaller
-    asymmetry is symmetrized away.
-    """
-    M = np.asarray(entries, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix contains NaN/Inf")
-    if M.size and np.max(np.abs(M - M.T)) > atol:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (M + M.T)
+def grown(buf: np.ndarray, n: int, used: int) -> np.ndarray:
+    """`buf` when it has at least n rows, else a copy of its first `used`
+    rows in a zeroed buffer of max(2 * rows, n) rows."""
+    if buf.shape[0] >= n:
+        return buf
+    new = np.zeros((max(2 * buf.shape[0], n),) + buf.shape[1:], dtype=buf.dtype)
+    new[:used] = buf[:used]
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +211,6 @@ class RegularizedInverse:
             return np.zeros(0)
         return self.inv @ np.asarray(v, dtype=np.float64)
 
-    def quadform(self, v: np.ndarray) -> float:
-        """vᵀ (M + alpha I)^{-1} v."""
-        if self.order == 0:
-            return 0.0
-        v = np.asarray(v, dtype=np.float64)
-        return float(v @ (self.inv @ v))
-
     # -- bookkeeping ---------------------------------------------------
 
     def audit(self) -> float:
@@ -242,11 +229,3 @@ class RegularizedInverse:
         out._mat = self.mat.copy()
         out._inv = self.inv.copy()
         return out
-
-
-def append_block_inverse(ri: RegularizedInverse, cross: np.ndarray,
-                         diag: float) -> RegularizedInverse:
-    """Pure variant of RegularizedInverse.append: copies, then grows."""
-    out = ri.copy()
-    out.append(cross, diag)
-    return out

@@ -59,15 +59,6 @@ def clip_to_interval(z: float, C: float) -> float:
     return min(max(z, -C), C)
 
 
-def clip_excess(z: float, C: float) -> float:
-    """How much z exceeds the interval [-C, C] (signed); 0 inside it."""
-    if z > C:
-        return z - C
-    if z < -C:
-        return z + C
-    return 0.0
-
-
 def loss_value(ev: LossEvent, yhat: float) -> float:
     if ev.family == SQUARED:
         return float((ev.target - yhat) ** 2)

@@ -290,14 +290,3 @@ def spectral_audit(A_exact_dual: np.ndarray,
                              check_finite=False)
     return float(vals[0]), float(vals[-1])
 
-
-def regret_terms_exact(Kbar: np.ndarray, alpha: float,
-                       etas: np.ndarray) -> np.ndarray:
-    """Per-round curvature-regret increments from the exact prefix leverage.
-
-    Entry t is (self leverage of round t in its prefix of the rescaled
-    gram matrix) / eta_t; the running sum is the measured gradient-term
-    regret.
-    """
-    taus = prefix_rls(Kbar, alpha)
-    return taus / np.asarray(etas, dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Sketched kernel Newton-step learner.
+"""Sketched kernel Newton-step learner: a column-selection policy on `NewtonCore`.
 
 Second-order updates run against an unweighted sketch of the
 preconditioner: each round an independent leverage-score sampler scores
@@ -23,18 +23,16 @@ knob here.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
 from .errors import SchurNotPositive
-from .kernels import KernelSpec, cross_vector, eval_kernel, gram
-from .kons import ETA_FIXED_SIGMA, KonsConfig, Q_FLOOR, StepRecord, eta_at
+from .kernels import KernelSpec, gram
+from .kons import ETA_FIXED_SIGMA, KonsConfig, NewtonCore
 from .kors import KorsConfig, KorsSampler
 from .linalg import RegularizedInverse
-from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
 from .rng import bernoulli, named_rng
 
 
@@ -51,7 +49,7 @@ class SkonsConfig:
             raise ValueError("the sketched learner requires fixed positive-sigma stepsizes")
 
 
-class SketchedKons:
+class SketchedKons(NewtonCore):
     """Kernel Newton-step learner over a sampled preconditioner.
 
     The embedded row sampler runs independently (its own dictionary, its
@@ -61,148 +59,28 @@ class SketchedKons:
     """
 
     def __init__(self, kernel: KernelSpec, cfg: SkonsConfig):
-        self.kernel = kernel
-        self.cfg = cfg
-        self.t = 0
-        self.rg_total = 0.0
+        super().__init__(kernel, cfg, cfg.kons)
         self.kors = KorsSampler(kernel, cfg.kors)
-        self.e_inv = RegularizedInverse(cfg.kons.alpha)
-        self.selected: list[int] = []   # 0-based stream indices with z=1
         self.rejected_appends = 0       # accepted coins demoted by a singular append
-        self._pts: np.ndarray | None = None
-        self._d = np.zeros(16)
-        self._b = np.zeros(16)
-        self._kbar_b = np.zeros(16)
         self._coin_rng = named_rng(cfg.kors.rng_seed, "sketch-coins")
-        self.records: list[StepRecord] = []
-
-    # -- buffers (same growth scheme as the exact learner) ----------------
-
-    def _grow(self, n: int) -> None:
-        if self._d.shape[0] < n:
-            cap = max(2 * self._d.shape[0], n)
-            for name in ("_d", "_b", "_kbar_b"):
-                old = getattr(self, name)
-                new = np.zeros(cap)
-                new[: self.t] = old[: self.t]
-                setattr(self, name, new)
-        if self._pts is not None and self._pts.shape[0] < n:
-            cap = max(2 * self._pts.shape[0], n)
-            new = np.zeros((cap, self._pts.shape[1]))
-            new[: self.t] = self._pts[: self.t]
-            self._pts = new
 
     @property
-    def points(self) -> np.ndarray:
-        if self._pts is None:
-            return np.zeros((0, 0))
-        return self._pts[: self.t]
+    def e_inv(self) -> RegularizedInverse:
+        return self._precond
 
-    @property
-    def d_scale(self) -> np.ndarray:
-        return self._d[: self.t]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._b[: self.t]
-
-    @property
-    def kbar_b(self) -> np.ndarray:
-        return self._kbar_b[: self.t]
-
-    # -- prediction --------------------------------------------------------
-
-    def predict(self, x) -> tuple[float, float]:
-        """(unclipped, clipped) prediction for input x; state untouched."""
-        return self._predict(self._cross(x))
-
-    def _cross(self, x) -> np.ndarray:
-        if self.t == 0:
-            return np.zeros(0)
-        return cross_vector(self.kernel, self.points, x)
-
-    def _predict(self, k: np.ndarray) -> tuple[float, float]:
-        if self.t == 0:
-            return 0.0, 0.0
-        kd = k * self.d_scale
-        sel = self.selected
-        ybrev = (float(kd @ self.b)
-                 - float(kd[sel] @ self.e_inv.apply(self._kbar_b[sel]))) \
-            / self.cfg.kons.alpha
-        return ybrev, clip_to_interval(ybrev, self.cfg.kons.clip_c)
-
-    # -- update ------------------------------------------------------------
-
-    def step(self, x, ev: LossEvent) -> StepRecord:
-        """Predict on x, incur the loss of ev, and absorb its derivative."""
-        tic = time.perf_counter_ns()
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        k = self._cross(x)
-        ybrev, ytil = self._predict(k)
-        rec = self._observe(x, k, ev, ybrev, ytil)
-        rec.elapsed_us = (time.perf_counter_ns() - tic) / 1e3
-        self.records.append(rec)
-        return rec
-
-    def observe(self, x, ev: LossEvent, ybrev: float, ytil: float) -> StepRecord:
-        """Absorb one round whose prediction was already computed."""
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        rec = self._observe(x, self._cross(x), ev, ybrev, ytil)
-        self.records.append(rec)
-        return rec
-
-    def _observe(self, x: np.ndarray, k: np.ndarray, ev: LossEvent,
-                 ybrev: float, ytil: float) -> StepRecord:
-        cfg = self.cfg.kons
-        t_new = self.t + 1
-        eta = eta_at(cfg, t_new)
-        gdot = loss_derivative(ev, ytil)
-        d_t = gdot * float(np.sqrt(eta))
-
-        kc = k * self.d_scale * d_t
-        kdiag = d_t * d_t * eval_kernel(self.kernel, x, x)
-        sel = self.selected
-
-        w = kc[sel]
-        q_raw = (kdiag - float(w @ self.e_inv.apply(w))) / cfg.alpha
-        q = max(q_raw, Q_FLOOR)
-        b_t = d_t * ytil - d_t * (ybrev - ytil) / q - 1.0 / np.sqrt(eta)
-
+    def _select(self, x, d_t, w, kdiag, q_raw):
         # independent sampler: only its leverage estimate crosses over
-        kres = self.kors.step(x, d_t, index=t_new)
+        kres = self.kors.step(x, d_t, index=self.t + 1)
         p = max(min(self.cfg.kors.beta * kres.tau_tilde, 1.0), self.cfg.gamma)
-        z = bernoulli(self._coin_rng, p)
-
-        accepted = z
-        if z:
+        accepted = bernoulli(self._coin_rng, p)
+        if accepted:
             try:
-                self.e_inv.append(w, kdiag)
-                self.selected.append(self.t)
+                self._admit(w, kdiag)
             except SchurNotPositive:
                 # a dropped column costs regret, never correctness
                 self.rejected_appends += 1
                 accepted = 0
-
-        if self._pts is None:
-            self._pts = np.zeros((16, x.shape[0]))
-        self._grow(t_new)
-        self._pts[self.t] = x
-        self._d[self.t] = d_t
-        self._b[self.t] = b_t
-        self._kbar_b[: self.t] += kc * b_t
-        self._kbar_b[self.t] = float(kc @ self.b) + kdiag * b_t
-        self.t = t_new
-
-        # measured leverage of the round against the sketched preconditioner
-        q_pos = max(q_raw, 0.0)
-        rg_raw = q_pos / (1.0 + q_pos) if accepted else q_pos
-        rg_inc = rg_raw / eta
-        self.rg_total += rg_inc
-
-        return StepRecord(t=t_new, ybar=ybrev, yhat=ytil,
-                          loss=loss_value(ev, ytil), gdot=gdot, eta=eta,
-                          tau=kres.tau_tilde, p_accept=p, accepted=accepted,
-                          dict_size=len(self.selected), rg_increment=rg_inc)
+        return kres.tau_tilde, p, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +96,9 @@ def sandwich_audit(learner: SketchedKons, upto: int | None = None) -> tuple[floa
     alpha = learner.cfg.kons.alpha
     D = learner.d_scale[:t]
     Kbar = gram(learner.kernel, learner.points[:t]) * np.outer(D, D)
+    sel = learner.selected
     sq = np.zeros(t)
-    for i in learner.selected:
-        if i < t:
-            sq[i] = 1.0
+    sq[sel[sel < t]] = 1.0
     exact = Kbar + alpha * np.eye(t)
     sketch = oracle.dual_preconditioner(Kbar, sq, alpha)
     return oracle.spectral_audit(exact, sketch)

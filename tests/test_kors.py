@@ -74,6 +74,16 @@ def test_orthogonal_stream_grows_linearly():
     assert s.size == 20
 
 
+def test_non_finite_point_names_its_round():
+    s = KorsSampler(gaussian(1.0), make_cfg())
+    with pytest.raises(ValueError, match="round 1:"):
+        s.estimate_rls(np.array([np.nan, 0.0]))
+    s.step(np.ones(2))
+    s.step(np.zeros(2))
+    with pytest.raises(ValueError, match="round 3:"):
+        s.step(np.array([0.0, np.inf]))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------

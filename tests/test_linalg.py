@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from koco.errors import NoConvergence, NotPositiveDefinite, SchurNotPositive
-from koco.linalg import (RegularizedInverse, append_block_inverse, as_sym,
-                         gram_shift_product, gram_shift_product_direct,
-                         psd_solve, sym_eigvals)
+from koco.linalg import (RegularizedInverse, gram_shift_product,
+                         gram_shift_product_direct, psd_solve, sym_eigvals)
 
 
 def random_psd(rng, n, rank=None):
@@ -14,15 +13,15 @@ def random_psd(rng, n, rank=None):
 
 
 # ---------------------------------------------------------------------------
-# append_block_inverse
+# RegularizedInverse.append
 # ---------------------------------------------------------------------------
 
 def test_append_scalar_case():
     ri = RegularizedInverse(alpha=1.0)
-    out = append_block_inverse(ri, np.zeros(0), 1.0)
-    assert out.inv.shape == (1, 1)
-    assert out.inv[0, 0] == pytest.approx(0.5)  # 1/(1+alpha)
-    assert ri.order == 0  # original untouched
+    ri.append(np.zeros(0), 1.0)
+    assert ri.inv.shape == (1, 1)
+    assert ri.inv[0, 0] == pytest.approx(0.5)  # 1/(1+alpha)
+    assert ri.order == 1
 
 
 def test_append_matches_direct_inverse():
@@ -31,9 +30,9 @@ def test_append_matches_direct_inverse():
     ri = RegularizedInverse(alpha=0.7)
     for j in range(3):
         ri.append(M[:j, j], M[j, j])
-    grown = append_block_inverse(ri, M[:3, 3], M[3, 3])
+    ri.append(M[:3, 3], M[3, 3])
     direct = np.linalg.inv(M + 0.7 * np.eye(4))
-    assert np.max(np.abs(grown.inv - direct)) < 1e-10
+    assert np.max(np.abs(ri.inv - direct)) < 1e-10
 
 
 def test_append_zero_column_decouples():
@@ -177,13 +176,6 @@ def test_psd_solve_rejects_indefinite():
     M = np.diag([1.0, -5.0])
     with pytest.raises(NotPositiveDefinite):
         psd_solve(M, 0.0, np.ones(2))
-
-
-def test_as_sym_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        as_sym([[0.0, 1.0], [0.0, 0.0]])
-    M = as_sym([[1.0, 2.0], [2.0, 3.0]])
-    assert M[0, 1] == 2.0
 
 
 def test_no_convergence_type_exists():

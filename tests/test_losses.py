@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from koco.losses import (FAMILIES, CurvatureProfile, LossEvent,
-                         asm_curvature_slack, clip_excess, clip_to_interval,
+                         asm_curvature_slack, clip_to_interval,
                          curvature_profile, loss_derivative, loss_value)
 
 PT = np.zeros(1)
@@ -44,23 +44,14 @@ def test_rejects_bad_labels_and_family():
 # clipping
 # ---------------------------------------------------------------------------
 
-def test_clip_excess_examples():
-    assert clip_excess(1.5, 1.0) == 0.5
-    assert clip_excess(-2.0, 1.0) == -1.0
-    assert clip_excess(0.3, 1.0) == 0.0
-
-
 @given(st.floats(min_value=-1e6, max_value=1e6),
        st.floats(min_value=1e-3, max_value=1e3))
 def test_clip_contract(z, C):
     clipped = clip_to_interval(z, C)
     assert -C <= clipped <= C
-    assert clip_excess(clipped, C) == 0.0  # idempotence on the clipped value
-    e = clip_excess(z, C)
+    assert clip_to_interval(clipped, C) == clipped  # idempotence
     if -C <= z <= C:
-        assert e == 0.0
-    # subtracting the excess returns to the interval up to one rounding step
-    assert abs(z - e) <= C + 1e-9 * max(1.0, abs(z))
+        assert clipped == z
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,13 @@ def test_gamma_one_equals_exact_learner():
     events = stream(0, 200, noise_sd=0.1)
     exact = Kons(gaussian(1.0), squared_cfg())
     sketch = SketchedKons(gaussian(1.0), sketch_cfg(1.0))
-    pe = run(exact, events)
-    ps = run(sketch, events)
-    assert np.max(np.abs(pe - ps)) <= 1e-8
+    run(exact, events)
+    run(sketch, events)
+    # one Newton-step core: with every column accepted the rounds agree
+    # bit for bit
+    fields = ("ybar", "yhat", "gdot", "rg_increment", "dict_size")
+    for re_, rs in zip(exact.records, sketch.records, strict=True):
+        assert [getattr(re_, f) for f in fields] == [getattr(rs, f) for f in fields]
     assert all(r.accepted == 1 for r in sketch.records)
 
 
@@ -113,7 +117,7 @@ def test_no_acceptances_gives_alpha_identity_sketch():
     events = stream(5, 40, noise_sd=0.2)
     sketch = SketchedKons(gaussian(1.0), sketch_cfg(0.0, beta=1e-9))
     run(sketch, events)
-    assert sketch.selected == []
+    assert len(sketch.selected) == 0
     lo, hi = sandwich_audit(sketch)
     D = sketch.d_scale
     Kbar = gram(gaussian(1.0), sketch.points) * np.outer(D, D)
@@ -148,3 +152,19 @@ def test_support_never_exceeds_acceptances():
     run(sketch, events)
     assert sketch.e_inv.order == len(sketch.selected)
     assert len(sketch.selected) <= sum(r.accepted for r in sketch.records)
+
+
+@pytest.mark.parametrize("bad_round", [1, 5])
+@pytest.mark.parametrize("make", [lambda: Kons(gaussian(1.0), squared_cfg()),
+                                  lambda: SketchedKons(gaussian(1.0), sketch_cfg(0.5))],
+                         ids=["kons", "skons"])
+def test_non_finite_point_names_its_round(make, bad_round):
+    events = stream(9, bad_round)
+    learner = make()
+    for ev in events[:-1]:
+        learner.step(ev.point, ev)
+    x = events[-1].point.copy()
+    x[0] = np.nan
+    with pytest.raises(ValueError, match=f"round {bad_round}:"):
+        learner.step(x, events[-1])
+    assert learner.t == bad_round - 1

@@ -10,8 +10,7 @@ curved-loss regret bound numerically.
 import numpy as np
 
 from koco import (Kons, KonsConfig, best_comparator, curvature_profile,
-                  effective_dimension, gaussian, generate_stream, gram,
-                  regret_report)
+                  gaussian, generate_stream, gram, regret_bound, regret_report)
 from koco.harness import GdBaseline
 from koco.streams import SyntheticSpec
 
@@ -55,9 +54,6 @@ print(f"decomposition: gradient term R_G = {rep.r_g:.3f}, "
 
 # --- the curved-loss bound ---------------------------------------------------
 
-d_eff = effective_dimension(K, ALPHA / (prof.sigma * prof.lipschitz**2))
-bound = ALPHA * comp.norm_sq + \
-    2 * d_eff * np.log(2 * prof.sigma * prof.lipschitz**2 * T) / prof.sigma
-print(f"\neffective dimension (shifted regularizer): {d_eff:.2f}")
-print(f"regret bound {bound:.1f}  >=  measured {rep.r_t:.3f}: "
+bound = regret_bound(K, comp.norm_sq, ALPHA, prof)
+print(f"\nregret bound {bound:.1f}  >=  measured {rep.r_t:.3f}: "
       f"{'holds' if rep.r_t <= bound else 'VIOLATED'}")

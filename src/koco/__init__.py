@@ -17,7 +17,7 @@ from .losses import (CurvatureProfile, LossEvent, clip_to_interval, curvature_pr
                      loss_derivative, loss_value)
 from .oracle import (ComparatorResult, best_comparator, effective_dimension,
                      exact_rls, logdet_chain, online_effective_dimension,
-                     prefix_rls, primal_ons, spectral_audit)
+                     prefix_rls, primal_ons, regret_bound, spectral_audit)
 from .skons import SketchedKons, SkonsConfig, sandwich_audit
 from .streams import SyntheticSpec, generate_stream, ingest_csv
 

@@ -20,6 +20,7 @@ from .errors import ConfigError, KocoError
 from .kernels import KernelSpec, cross_vector
 from .kons import Kons, KonsConfig, StepRecord, regret_report
 from .kors import KorsConfig, required_budget
+from .linalg import grown
 from .losses import LossEvent, clip_to_interval, curvature_profile, loss_derivative, loss_value
 from .skons import SketchedKons, SkonsConfig
 from .streams import SyntheticSpec
@@ -239,26 +240,32 @@ class GdBaseline:
         self.clip_c = clip_c
         self.lipschitz = lipschitz
         self.t = 0
-        self._pts: list[np.ndarray] = []
-        self._coef: list[float] = []
+        self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first round
+        self._coef = np.zeros(16)
         self.records: list[StepRecord] = []
 
     def predict(self, x) -> tuple[float, float]:
         if self.t == 0:
             return 0.0, 0.0
-        k = cross_vector(self.kernel, np.vstack(self._pts), x)
-        ybar = float(k @ np.asarray(self._coef))
+        k = cross_vector(self.kernel, self._pts[: self.t], x)
+        ybar = float(k @ self._coef[: self.t])
         return ybar, clip_to_interval(ybar, self.clip_c)
 
     def step(self, x, ev: LossEvent) -> StepRecord:
         tic = time.perf_counter_ns()
         x = np.asarray(x, dtype=np.float64).reshape(-1)
-        ybar, yhat = self.predict(x)
         t_new = self.t + 1
+        if not np.isfinite(x).all():
+            raise ValueError(f"round {t_new}: point contains NaN/Inf")
+        ybar, yhat = self.predict(x)
         eta = 1.0 / (self.lipschitz * self.clip_c * np.sqrt(t_new))
         gdot = loss_derivative(ev, yhat)
-        self._pts.append(x)
-        self._coef.append(-eta * gdot)
+        if self.t == 0:
+            self._pts = np.zeros((16, x.shape[0]))
+        self._pts = grown(self._pts, t_new, self.t)
+        self._coef = grown(self._coef, t_new, self.t)
+        self._pts[self.t] = x
+        self._coef[self.t] = -eta * gdot
         self.t = t_new
         rec = StepRecord(t=t_new, ybar=ybar, yhat=yhat,
                          loss=loss_value(ev, yhat), gdot=gdot, eta=eta,
@@ -357,13 +364,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int,
             raise
     records = learner.records
 
-    comparator = None
+    comparator = K = None
     if cfg.comparator:
-        pts = np.vstack([ev.point for ev in events])
-        K = kernels.gram(cfg.kernel, pts)
+        K = kernels.gram(cfg.kernel, np.vstack([ev.point for ev in events]))
         comparator = oracle.best_comparator(K, events, cfg.clip_c, seed=seed)
 
-    summary = summarize_run(cfg, seed, learner, comparator)
+    summary = summarize_run(cfg, seed, learner, comparator, K)
     trace_path = out / f"trace_{cfg.learner}_{seed}.csv"
     write_trace(trace_path, records)
     (out / f"summary_{cfg.learner}_{seed}.txt").write_text(
@@ -371,8 +377,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int,
     return trace_path, summary
 
 
-def summarize_run(cfg: ExperimentConfig, seed: int, learner,
-                  comparator) -> RunSummary:
+def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
+                  K: np.ndarray | None) -> RunSummary:
+    """Summary of a finished run; K, the gram of its stream, is needed with
+    a comparator. The regret bound covers fixed-sigma `kons` (floor 1) and
+    `skons` (floor max(gamma, beta * min prefix leverage)), nothing else."""
     records = learner.records
     prof = curvature_profile(cfg.loss_family, cfg.clip_c)
     cumulative = float(sum(r.loss for r in records))
@@ -383,9 +392,17 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner,
     if comparator is not None:
         rep = regret_report(records, comparator, prof.sigma)
         comparator_loss, r_t, r_d = comparator.total_loss, rep.r_t, rep.r_d
-        if cfg.eta_mode == "fixed-sigma":
-            bound_value, bound_ok = _fixed_sigma_bound(cfg, seed, learner,
-                                                       comparator, rep, prof)
+        floor = 0.0  # no bound applies
+        if cfg.eta_mode == "fixed-sigma" and cfg.learner == "kons":
+            floor = 1.0
+        elif cfg.eta_mode == "fixed-sigma" and cfg.learner == "skons":
+            D = learner.d_scale
+            tau_min = float(oracle.prefix_rls(K * np.outer(D, D), cfg.alpha).min())
+            floor = max(cfg.gamma, cfg.kors_config(seed).beta * tau_min)
+        if floor > 0:
+            bound_value = oracle.regret_bound(K, comparator.norm_sq, cfg.alpha,
+                                              prof, floor)
+            bound_ok = bool(r_t <= bound_value)
     sampler_size = len(learner.kors.dict) if hasattr(learner, "kors") else 0
     return RunSummary(
         learner=cfg.learner, seed=seed, horizon=len(records),
@@ -396,30 +413,3 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner,
         mean_step_us=float(times.mean()) if len(times) else 0.0,
         max_step_us=float(times.max()) if len(times) else 0.0,
         bound_value=bound_value, bound_ok=bound_ok)
-
-
-def _fixed_sigma_bound(cfg, seed, learner, comparator, rep, prof):
-    """Curved-loss regret bound for the summary's pass/fail flag."""
-    events = cfg.events(seed)
-    pts = np.vstack([ev.point for ev in events])
-    K = kernels.gram(cfg.kernel, pts)
-    sigma, L = prof.sigma, prof.lipschitz
-    T = len(events)
-    d_eff = oracle.effective_dimension(K, cfg.alpha / (sigma * L * L))
-    base = cfg.alpha * comparator.norm_sq \
-        + 2.0 * d_eff * np.log(2.0 * sigma * L * L * T) / sigma
-    if cfg.learner == "skons":
-        taus = oracle.prefix_rls(_rescaled_gram(cfg.kernel, learner), cfg.alpha)
-        tau_min = float(taus.min()) if len(taus) else 0.0
-        beta = cfg.kors_config(seed).beta
-        denom = max(cfg.gamma, beta * tau_min)
-        if denom <= 0:
-            return None, None
-        base = cfg.alpha * comparator.norm_sq \
-            + 2.0 * d_eff * np.log(2.0 * sigma * L * L * T) / (sigma * denom)
-    return float(base), bool(rep.r_t <= base)
-
-
-def _rescaled_gram(kernel, learner) -> np.ndarray:
-    D = learner.d_scale
-    return kernels.gram(kernel, learner.points) * np.outer(D, D)

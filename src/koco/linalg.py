@@ -114,18 +114,17 @@ class RegularizedInverse:
     one row/column at a time.
 
     The tracked matrix is stored alongside the inverse so the state can
-    be audited and rebuilt; every `refresh_every` appends the inverse is
+    be audited and rebuilt; every REFRESH_EVERY appends the inverse is
     recomputed from scratch, which bounds drift over long runs. Appends
     whose Schur complement falls below SCHUR_RTOL·(diag + alpha) are
     rejected: a near-singular bordering would silently corrupt every
     later product.
     """
 
-    def __init__(self, alpha: float, refresh_every: int = REFRESH_EVERY):
+    def __init__(self, alpha: float):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
-        self.refresh_every = int(refresh_every)
         self.order = 0
         self._appends = 0
         self._cap = 0
@@ -193,7 +192,7 @@ class RegularizedInverse:
         self._inv[n, n] = 1.0 / s
         self.order = n + 1
         self._appends += 1
-        if self.refresh_every > 0 and self._appends % self.refresh_every == 0:
+        if self._appends % REFRESH_EVERY == 0:
             self.refresh()
 
     def refresh(self) -> None:
@@ -220,12 +219,3 @@ class RegularizedInverse:
             return 0.0
         resid = self.inv @ (self.mat + self.alpha * np.eye(n)) - np.eye(n)
         return float(np.max(np.abs(resid)))
-
-    def copy(self) -> "RegularizedInverse":
-        out = RegularizedInverse(self.alpha, self.refresh_every)
-        out.order = self.order
-        out._appends = self._appends
-        out._cap = self.order
-        out._mat = self.mat.copy()
-        out._inv = self.inv.copy()
-        return out

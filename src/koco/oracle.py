@@ -18,7 +18,7 @@ from scipy.special import expit
 from .errors import NoProgress, NotPositiveDefinite
 from .kons import KonsConfig, eta_at
 from .linalg import psd_solve, sym_eigvals
-from .losses import LossEvent, clip_to_interval, loss_derivative
+from .losses import CurvatureProfile, LossEvent, clip_to_interval, loss_derivative
 from .rng import named_rng
 
 
@@ -82,6 +82,19 @@ def logdet_chain(Kbar: np.ndarray, alpha: float) -> tuple[float, float, float]:
     d_eff = float(np.sum(lam / (lam + alpha)))
     upper = d_eff * (1.0 + np.log(lam[-1] / alpha + 1.0))
     return d_onl, logdet, float(upper)
+
+
+def regret_bound(K: np.ndarray, norm_sq: float, alpha: float,
+                 profile: CurvatureProfile, floor: float = 1.0) -> float:
+    """Curved-loss regret bound of a fixed-sigma run on a stream with gram
+    K against a comparator of squared norm `norm_sq`: alpha * norm_sq +
+    2 d_eff log(2 sigma L^2 T) / (sigma * floor), d_eff taken at
+    alpha / (sigma L^2); `floor` bounds the acceptance probabilities."""
+    sigma, L = profile.sigma, profile.lipschitz
+    T = K.shape[0]
+    d_eff = effective_dimension(K, alpha / (sigma * L * L))
+    return float(alpha * norm_sq
+                 + 2.0 * d_eff * np.log(2.0 * sigma * L * L * T) / (sigma * floor))
 
 
 # ---------------------------------------------------------------------------

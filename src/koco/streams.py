@@ -107,7 +107,8 @@ def ingest_csv(path, family: str, clip_c: float) -> list[LossEvent]:
 
     Regression targets outside [-clip_c, clip_c] are rejected with their
     row numbers: admitting them would break the derivative bound the
-    learners rely on.
+    learners rely on. A NaN or Inf feature or target is rejected with
+    its line number.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown loss family {family!r}")
@@ -145,6 +146,8 @@ def ingest_csv(path, family: str, clip_c: float) -> list[LossEvent]:
                 coords = np.array([float(v) for v in row[:-1]])
             except ValueError as exc:
                 raise StreamParseError(str(exc), line=lineno) from None
+            if not np.isfinite(coords).all():
+                raise StreamParseError("feature is NaN or Inf", line=lineno)
             if value_col == "label":
                 tok = row[-1].strip()
                 if tok not in ("1", "+1", "-1"):
@@ -155,6 +158,8 @@ def ingest_csv(path, family: str, clip_c: float) -> list[LossEvent]:
                     y = float(row[-1])
                 except ValueError as exc:
                     raise StreamParseError(str(exc), line=lineno) from None
+                if not np.isfinite(y):
+                    raise StreamParseError("target is NaN or Inf", line=lineno)
                 if abs(y) > clip_c:
                     bad_targets.append(lineno)
                     continue

@@ -9,13 +9,13 @@ functions back `koco verify` and the acceptance test module.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels, linalg, losses, oracle, streams
+from . import harness, kernels, linalg, losses, oracle, streams
 from .kernels import gaussian, gram, linear
-from .kons import Kons, KonsConfig, regret_report
+from .kons import Kons, KonsConfig
 from .kors import KorsConfig, KorsSampler, dict_size_bound, required_budget
 from .linalg import RegularizedInverse, psd_solve
 from .losses import LossEvent, curvature_profile
@@ -42,12 +42,6 @@ def _regression_stream(seed: int, T: int, dim: int = 3, noise: float = 0.1,
                          horizon=T, n_centers=centers, noise_sd=noise,
                          clip_c=clip_c, cluster_count=clusters)
     return generate_stream(spec, seed, kernel=gaussian(1.0))
-
-
-def _cached_comparator(key, K, events, C, seed):
-    if key not in _COMPARATOR_CACHE:
-        _COMPARATOR_CACHE[key] = oracle.best_comparator(K, events, C, seed=seed)
-    return _COMPARATOR_CACHE[key]
 
 
 def _squared_config(C: float = 1.0, alpha: float = 1.0,
@@ -185,68 +179,43 @@ def criterion_4_logdet_chain():
     return worst >= -1e-7, f"min chain slack {worst:.3e} (floor -1e-7)"
 
 
-def _thm1_rhs(K, comparator, alpha, sigma, L, T):
-    d_eff = oracle.effective_dimension(K, alpha / (sigma * L * L))
-    return alpha * comparator.norm_sq \
-        + 2.0 * d_eff * np.log(2.0 * sigma * L * L * T) / sigma
+# squared loss on the stream of _regression_stream(seed, 1000), C = alpha = 1,
+# fixed-sigma stepsizes; the sampler defaults give beta = required_budget(T, 0.1, 0.5)
+_REGRET_CONFIG = harness.ExperimentConfig(
+    learner="kons", kernel=gaussian(1.0), loss_family="squared", clip_c=1.0,
+    alpha=1.0, horizon=1000, noise_sd=0.1)
+
+
+def _regret_summary(cfg: harness.ExperimentConfig, seed: int) -> harness.RunSummary:
+    """`koco run`'s summary of cfg at seed; criteria 5 and 6 share the
+    comparator of each stream."""
+    events = cfg.events(seed)
+    K = gram(cfg.kernel, np.vstack([ev.point for ev in events]))
+    key = (seed, cfg.horizon)
+    if key not in _COMPARATOR_CACHE:
+        _COMPARATOR_CACHE[key] = oracle.best_comparator(K, events, cfg.clip_c, seed=seed)
+    learner = _run(harness.build_learner(cfg, seed), events)
+    return harness.summarize_run(cfg, seed, learner, _COMPARATOR_CACHE[key], K)
 
 
 def criterion_5_curved_regret_bound():
-    """Measured regret of the exact learner under the curved-loss bound,
-    squared loss, fixed-sigma stepsizes, T=1000, 5 seeds, every run."""
-    T, C, alpha = 1000, 1.0, 1.0
-    prof = curvature_profile("squared", C)
-    cfg = _squared_config(C, alpha)
-    fails = []
-    details = []
-    for seed in range(5):
-        events = _regression_stream(seed, T)
-        pts = np.vstack([ev.point for ev in events])
-        K = gram(gaussian(1.0), pts)
-        learner = _run(Kons(gaussian(1.0), cfg), events)
-        comparator = _cached_comparator(("c56", seed, T), K, events, C, seed)
-        rep = regret_report(learner.records, comparator, prof.sigma)
-        rhs = _thm1_rhs(K, comparator, alpha, prof.sigma, prof.lipschitz, T)
-        details.append(f"{rep.r_t:.1f}<={rhs:.1f}")
-        if rep.r_t > rhs:
-            fails.append(seed)
-    return not fails, f"R_T vs bound per seed: {'; '.join(details)}"
+    """Measured regret of the exact learner under the curved-loss bound
+    that `koco run` reports, squared loss, fixed-sigma stepsizes, T=1000,
+    5 seeds, every run."""
+    runs = [_regret_summary(_REGRET_CONFIG, seed) for seed in range(5)]
+    details = "; ".join(f"{sm.r_t:.1f}<={sm.bound_value:.1f}" for sm in runs)
+    return all(sm.bound_ok for sm in runs), f"R_T vs bound per seed: {details}"
 
 
 def criterion_6_sketched_regret_bound():
-    """Sketched-learner regret under its bound with the probability floor,
-    gamma in {0.1, 0.3}, 10 seeds, >= 90% of runs."""
-    T, C, alpha = 1000, 1.0, 1.0
-    prof = curvature_profile("squared", C)
-    kc = _squared_config(C, alpha)
-    eps, delta = 0.5, 0.1
-    beta = required_budget(T, delta, eps)
-    total = ok = 0
+    """Sketched-learner regret under the bound with the probability floor
+    that `koco run` reports, gamma in {0.1, 0.3}, 10 seeds, >= 90% of runs."""
+    held = []
     for gamma in (0.1, 0.3):
-        for seed in range(10):
-            events = _regression_stream(seed, T)
-            pts = np.vstack([ev.point for ev in events])
-            K = gram(gaussian(1.0), pts)
-            comparator = _cached_comparator(("c56", seed, T), K, events, C, seed)
-            sc = SkonsConfig(kons=kc,
-                             kors=KorsConfig(alpha=alpha, epsilon=eps,
-                                             beta=beta, delta=delta,
-                                             rng_seed=seed),
-                             gamma=gamma)
-            learner = _run(SketchedKons(gaussian(1.0), sc), events)
-            rep = regret_report(learner.records, comparator, prof.sigma)
-            D = learner.d_scale
-            Kbar = K * np.outer(D, D)
-            tau_min = float(oracle.prefix_rls(Kbar, alpha).min())
-            denom = max(gamma, beta * tau_min)
-            d_eff = oracle.effective_dimension(
-                K, alpha / (prof.sigma * prof.lipschitz**2))
-            rhs = alpha * comparator.norm_sq + 2.0 * d_eff * np.log(
-                2.0 * prof.sigma * prof.lipschitz**2 * T) / (prof.sigma * denom)
-            total += 1
-            ok += rep.r_t <= rhs
-    need = int(np.ceil(0.9 * total))
-    return ok >= need, f"bound held in {ok}/{total} runs (need {need})"
+        cfg = replace(_REGRET_CONFIG, learner="skons", gamma=gamma)
+        held += [_regret_summary(cfg, seed).bound_ok for seed in range(10)]
+    ok, need = sum(held), int(np.ceil(0.9 * len(held)))
+    return ok >= need, f"bound held in {ok}/{len(held)} runs (need {need})"
 
 
 def rank_one_gradient_cap(records, sigma: float, lipschitz: float,

@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from koco import oracle, streams
 from koco.errors import ConfigError
-from koco.harness import (TRACE_COLUMNS, GdBaseline, parse_config_text,
-                          run_experiment)
-from koco.kernels import gaussian
+from koco.harness import (TRACE_COLUMNS, GdBaseline, build_learner,
+                          parse_config_text, run_experiment)
+from koco.kernels import gaussian, gram
 from koco.losses import LossEvent
 
 BASE_CONFIG = """
@@ -137,6 +138,57 @@ def test_csv_stream_round_trip(tmp_path):
     assert len(csv_cfg.events(0)) == 40
 
 
+@pytest.mark.parametrize("learner", ["kons", "skons"])
+def test_bound_value_is_the_papers_bound(tmp_path, learner):
+    cfg = parse_config_text(BASE_CONFIG.replace("learner = kons",
+                                                f"learner = {learner}"))
+    _, summary = run_experiment(cfg, 0, tmp_path)
+    events = cfg.events(0)
+    K = gram(cfg.kernel, np.vstack([ev.point for ev in events]))
+    comparator = oracle.best_comparator(K, events, 1.0, seed=0)
+    sigma, L, alpha, T = 0.125, 4.0, 1.0, 40
+    d_eff = oracle.effective_dimension(K, alpha / (sigma * L * L))
+    floor = 1.0
+    if learner == "skons":
+        sketch = build_learner(cfg, 0)
+        for ev in events:
+            sketch.step(ev.point, ev)
+        D = sketch.d_scale
+        tau_min = oracle.prefix_rls(K * np.outer(D, D), alpha).min()
+        floor = max(cfg.gamma, cfg.kors_config(0).beta * tau_min)
+    expected = alpha * comparator.norm_sq \
+        + 2.0 * d_eff * np.log(2.0 * sigma * L * L * T) / (sigma * floor)
+    assert summary.bound_value == pytest.approx(expected, rel=1e-12)
+    assert summary.bound_ok == (summary.r_t <= summary.bound_value)
+
+
+@pytest.mark.parametrize("text", [
+    BASE_CONFIG.replace("learner = kons", "learner = gd-baseline"),
+    BASE_CONFIG + "eta_mode = inverse-sqrt\n"], ids=["gd-baseline", "inverse-sqrt"])
+def test_no_bound_outside_the_newton_step_theorem(tmp_path, text):
+    _, summary = run_experiment(parse_config_text(text), 0, tmp_path)
+    assert summary.r_t is not None
+    assert summary.bound_value is None and summary.bound_ok is None
+    assert "bound_value=none\nbound_ok=None\n" in summary.as_text()
+
+
+def test_csv_run_reads_its_stream_once(tmp_path, monkeypatch):
+    stream_path = tmp_path / "stream.csv"
+    streams.emit_csv(stream_path, parse_config_text(BASE_CONFIG).events(0))
+    cfg = parse_config_text(BASE_CONFIG + f"stream = csv\ncsv_path = {stream_path}\n")
+    calls = []
+    ingest = streams.ingest_csv
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ingest(*args, **kwargs)
+
+    monkeypatch.setattr(streams, "ingest_csv", counted)
+    _, summary = run_experiment(cfg, 0, tmp_path / "out")
+    assert len(calls) == 1
+    assert summary.horizon == 40 and summary.bound_value is not None
+
+
 def test_gd_baseline_steps():
     gd = GdBaseline(gaussian(1.0), clip_c=1.0, lipschitz=4.0)
     x = np.array([0.2, -0.1])
@@ -155,6 +207,18 @@ def test_gd_baseline_zero_derivative_stays_zero():
         x = rng.normal(size=2)
         gd.step(x, LossEvent(x, "squared", 0.0))
     assert all(r.yhat == 0.0 for r in gd.records)
+
+
+@pytest.mark.parametrize("bad_round", [1, 2])
+def test_gd_baseline_non_finite_point_names_its_round(bad_round):
+    gd = GdBaseline(gaussian(1.0), clip_c=1.0, lipschitz=4.0)
+    x = np.array([0.2, -0.1])
+    for _ in range(bad_round - 1):
+        gd.step(x, LossEvent(x, "squared", 0.5))
+    bad = np.array([np.nan, 0.0])
+    with pytest.raises(ValueError, match=f"round {bad_round}: point contains NaN/Inf"):
+        gd.step(bad, LossEvent(bad, "squared", 0.5))
+    assert gd.t == bad_round - 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from koco.errors import NoConvergence, NotPositiveDefinite, SchurNotPositive
-from koco.linalg import (RegularizedInverse, gram_shift_product,
+from koco.linalg import (REFRESH_EVERY, RegularizedInverse, gram_shift_product,
                          gram_shift_product_direct, psd_solve, sym_eigvals)
 
 
@@ -65,20 +65,22 @@ def test_append_composition_long_run():
 
 def test_periodic_refresh_runs():
     rng = np.random.default_rng(4)
-    ri = RegularizedInverse(alpha=1.0, refresh_every=16)
-    rows = rng.normal(size=(40, 5))
-    M = rows @ rows.T / 5.0
-    for j in range(40):
-        ri.append(M[:j, j], M[j, j])
-    assert ri.audit() < 1e-10
-
-
-def test_copy_is_independent():
     ri = RegularizedInverse(alpha=1.0)
-    ri.append(np.zeros(0), 1.0)
-    snap = ri.copy()
-    ri.append(np.array([0.5]), 1.0)
-    assert snap.order == 1 and ri.order == 2
+    refreshes = []
+    refresh = ri.refresh
+
+    def counted():
+        refreshes.append(ri.order)
+        refresh()
+
+    ri.refresh = counted
+    n = REFRESH_EVERY + 8
+    rows = rng.normal(size=(n, 5))
+    M = rows @ rows.T / 5.0
+    for j in range(n):
+        ri.append(M[:j, j], M[j, j])
+    assert refreshes == [REFRESH_EVERY]
+    assert ri.audit() < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,19 @@ def test_ingest_rejects_out_of_range_targets(tmp_path):
     assert "3" in str(err.value) and "4" in str(err.value)
 
 
+def test_ingest_rejects_non_finite_values(tmp_path):
+    feature = tmp_path / "feature.csv"
+    feature.write_text("f1,f2,target\n0.1,0.2,0.5\n0.3,nan,0.5\n", encoding="utf-8")
+    with pytest.raises(StreamParseError) as err:
+        ingest_csv(feature, "squared", 1.0)
+    assert err.value.line == 3
+    target = tmp_path / "target.csv"
+    target.write_text("f1,f2,target\n0.1,0.2,inf\n0.3,0.4,0.5\n", encoding="utf-8")
+    with pytest.raises(StreamParseError) as err:
+        ingest_csv(target, "squared", 1.0)
+    assert err.value.line == 2
+
+
 def test_ingest_validates_header(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("a,b\n0.0,0.5\n", encoding="utf-8")

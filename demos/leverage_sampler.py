@@ -45,4 +45,4 @@ inside = np.mean([exact[t] - 1e-12 <= trace[t].tau_tilde <= rho * exact[t] + 1e-
 print(f"\nestimates inside [exact, {rho:.0f}*exact] at {100*inside:.1f}% of rounds")
 print(f"final dictionary: {sampler.size} of {T} points "
       f"({100*sampler.size/T:.0f}%), weights up to "
-      f"{max(e.weight for e in sampler.dict.entries):.2f}")
+      f"{max(1.0 / sampler.dict.probs):.2f}")

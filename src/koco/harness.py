@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,8 @@ LEARNERS = ("kons", "skons", "gd-baseline")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The one description of a run; validates itself, and its defaults are the only ones."""
+
     learner: str
     kernel: KernelSpec
     loss_family: str
@@ -60,6 +62,21 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     out_dir: str = "runs"
     comparator: bool = True             # fit the offline comparator for regret
+
+    def __post_init__(self):
+        if self.learner not in LEARNERS:
+            raise ValueError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
+        if self.loss_family not in losses.FAMILIES:
+            raise ValueError(f"loss must be one of {losses.FAMILIES}, "
+                             f"got {self.loss_family!r}")
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        if self.stream not in ("synthetic", "csv"):
+            raise ValueError(f"stream must be synthetic or csv, got {self.stream!r}")
+        if self.stream == "csv" and self.csv_path is None:
+            raise ValueError("stream=csv requires csv_path")
+        self.kons_config()     # clip_c, alpha, eta_mode, sigma
+        self.synthetic_spec()  # generator, horizon >= 1, input_dim
 
     def kons_config(self) -> KonsConfig:
         prof = curvature_profile(self.loss_family, self.clip_c)
@@ -92,6 +109,19 @@ class ExperimentConfig:
                                        kernel=self.kernel, family=self.loss_family)
 
 
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"seeds must be integers, got {text!r}") from None
+
+
+def _parse_comparator(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ConfigError("comparator must be true or false")
+    return text.lower() == "true"
+
+
 _SCHEMA: dict[str, tuple] = {
     # key: (parser, required)
     "learner": (str, True),
@@ -117,14 +147,19 @@ _SCHEMA: dict[str, tuple] = {
     "epsilon": (float, False),
     "beta": (float, False),
     "delta": (float, False),
-    "seeds": (str, False),
+    "seeds": (_parse_seeds, False),
     "out_dir": (str, False),
-    "comparator": (str, False),
+    "comparator": (_parse_comparator, False),
 }
+
+# keys that build the kernel rather than name an ExperimentConfig field
+_KERNEL_KEYS = ("kernel", "bandwidth", "degree", "offset")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse and validate a key=value config; unknown keys are rejected."""
+    """Parse and validate a key=value config; unknown keys are rejected.
+
+    Keys the text leaves out take the ExperimentConfig defaults."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -165,59 +200,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    learner = take("learner")
-    if learner not in LEARNERS:
-        raise ConfigError(f"learner must be one of {LEARNERS}, got {learner!r}")
-    loss_family = take("loss")
-    if loss_family not in losses.FAMILIES:
-        raise ConfigError(f"loss must be one of {losses.FAMILIES}, got {loss_family!r}")
-
-    seeds_text = take("seeds", "0")
+    fields = {"loss_family" if key == "loss" else key: take(key)
+              for key in raw if key not in _KERNEL_KEYS}
+    csv_path = fields.get("csv_path")
+    if fields.get("stream") == "csv" and csv_path is not None \
+            and not Path(csv_path).exists():
+        raise ConfigError(f"csv_path does not exist: {csv_path}")
     try:
-        seeds = tuple(int(tok) for tok in seeds_text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"seeds must be integers, got {seeds_text!r}") from None
-    if not seeds:
-        raise ConfigError("seeds must not be empty")
-
-    comparator_text = take("comparator", "true").lower()
-    if comparator_text not in ("true", "false"):
-        raise ConfigError("comparator must be true or false")
-
-    stream = take("stream", "synthetic")
-    if stream not in ("synthetic", "csv"):
-        raise ConfigError(f"stream must be synthetic or csv, got {stream!r}")
-    csv_path = take("csv_path")
-    if stream == "csv":
-        if csv_path is None:
-            raise ConfigError("stream=csv requires csv_path")
-        if not Path(csv_path).exists():
-            raise ConfigError(f"csv_path does not exist: {csv_path}")
-
-    generator = take("generator", streams.RKHS_TARGET)
-    if generator not in streams.GENERATORS:
-        raise ConfigError(f"generator must be one of {streams.GENERATORS}")
-
-    try:
-        cfg = ExperimentConfig(
-            learner=learner, kernel=kern, loss_family=loss_family,
-            clip_c=take("clip_c"), alpha=take("alpha"), horizon=take("horizon"),
-            eta_mode=take("eta_mode", "fixed-sigma"), sigma=take("sigma"),
-            stream=stream, csv_path=csv_path, generator=generator,
-            input_dim=take("input_dim", 3), n_centers=take("n_centers", 8),
-            noise_sd=take("noise_sd", 0.0), spread=take("spread", 8.0),
-            cluster_count=take("cluster_count", 0),
-            gamma=take("gamma", 0.0), epsilon=take("epsilon", 0.5),
-            beta=take("beta"), delta=take("delta", 0.1),
-            seeds=seeds, out_dir=take("out_dir", "runs"),
-            comparator=comparator_text == "true",
-        )
-        cfg.kons_config()  # surface invalid learner parameters now
-        if cfg.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        return ExperimentConfig(kernel=kern, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -296,7 +288,6 @@ class RunSummary:
     max_step_us: float
     bound_value: float | None = None
     bound_ok: bool | None = None
-    extras: dict = field(default_factory=dict)
 
     def as_text(self) -> str:
         pairs = [
@@ -313,7 +304,6 @@ class RunSummary:
             ("bound_value", _fmt(self.bound_value)),
             ("bound_ok", self.bound_ok),
         ]
-        pairs += sorted(self.extras.items())
         return "".join(f"{k}={v}\n" for k, v in pairs)
 
 

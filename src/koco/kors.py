@@ -1,6 +1,6 @@
 """Streaming kernel row sampling driven by online ridge-leverage scores.
 
-The sampler keeps a dictionary of (index, weight) pairs. Each round the
+The sampler keeps a dictionary of (round, weight) pairs. Each round the
 incoming point is scored against the dictionary augmented with itself at
 weight one, the score is inflated by (1+eps) so it over-estimates the
 true leverage, and a Bernoulli coin with probability min(beta*score, 1)
@@ -56,13 +56,6 @@ def dict_size_bound(cfg: KorsConfig, d_onl: float) -> float:
     return 3.0 * cfg.rho * cfg.beta * d_onl / cfg.epsilon**2
 
 
-@dataclass(frozen=True)
-class DictEntry:
-    index: int     # stream position of the member
-    weight: float  # importance weight 1/prob
-    prob: float    # acceptance probability used at admission
-
-
 @dataclass
 class KorsStep:
     tau_tilde: float
@@ -72,43 +65,59 @@ class KorsStep:
 
 
 class Dictionary:
-    """Sampler state: member list, the members' kernel data in grown
-    arrays aligned with `entries`, and the weighted selection inverse."""
+    """Sampler state: the members' stream rounds, admission probabilities
+    and kernel data in grown arrays, and the weighted selection inverse."""
 
     def __init__(self, alpha: float):
-        self.entries: list[DictEntry] = []
         self.sub_inv = RegularizedInverse(alpha)
+        self._n = 0
         self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first member
         self._d = np.zeros(16)
         self._sw = np.zeros(16)
+        self._r = np.zeros(16, dtype=np.intp)
+        self._p = np.zeros(16)
 
     def __len__(self):
-        return len(self.entries)
+        return self._n
 
     @property
     def points(self) -> np.ndarray:
-        return self._pts[: len(self)]
+        return self._pts[: self._n]
 
     @property
     def d_scale(self) -> np.ndarray:
-        return self._d[: len(self)]
+        return self._d[: self._n]
 
     @property
     def sweights(self) -> np.ndarray:
         """Selection-matrix diagonal entries 1/sqrt(prob)."""
-        return self._sw[: len(self)]
+        return self._sw[: self._n]
 
-    def add(self, entry: DictEntry, x: np.ndarray, d_t: float, sweight: float) -> None:
-        n = len(self)
+    @property
+    def rounds(self) -> np.ndarray:
+        """1-based stream round of each member."""
+        return self._r[: self._n]
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Acceptance probability of each member at its admission."""
+        return self._p[: self._n]
+
+    def add(self, x: np.ndarray, d_t: float, index: int, prob: float) -> None:
+        n = self._n
         if n == 0:
             self._pts = np.zeros((16, x.shape[0]))
         self._pts = grown(self._pts, n + 1, n)
         self._d = grown(self._d, n + 1, n)
         self._sw = grown(self._sw, n + 1, n)
+        self._r = grown(self._r, n + 1, n)
+        self._p = grown(self._p, n + 1, n)
         self._pts[n] = x
         self._d[n] = d_t
-        self._sw[n] = sweight
-        self.entries.append(entry)
+        self._sw[n] = np.sqrt(1.0 / prob)
+        self._r[n] = index
+        self._p[n] = prob
+        self._n = n + 1
 
 
 class KorsSampler:
@@ -124,14 +133,11 @@ class KorsSampler:
         self.cfg = cfg
         self.dict = Dictionary(cfg.alpha)
         self._rng = named_rng(cfg.rng_seed, "kors-coins")
-        self._pending: tuple[np.ndarray, float, np.ndarray, float] | None = None
         self._rounds = 0  # points scored so far
 
     @property
     def size(self) -> int:
         return len(self.dict)
-
-    # -- scoring ---------------------------------------------------------
 
     def _member_column(self, x: np.ndarray, d_t: float) -> np.ndarray:
         """Weighted rescaled kernel column of x against the members."""
@@ -140,13 +146,15 @@ class KorsSampler:
         ks = cross_vector(self.kernel, self.dict.points, x)
         return ks * self.dict.d_scale * d_t * self.dict.sweights
 
-    def estimate_rls(self, x, d_t: float = 1.0) -> float:
-        """Leverage over-estimate of x against dictionary-plus-self.
+    def step(self, x, d_t: float = 1.0, index: int | None = None) -> KorsStep:
+        """Score one stream point, flip its coin, and admit it on success.
 
-        The estimate equals (1+eps)(1 - alpha/s) where s is the Schur
-        complement of the self column appended at weight one: the same
-        floats the append-then-evict bordering would produce, with the
-        eviction realized by never materializing the bordered block.
+        The score (1+eps)(1 - alpha/s) over-estimates the leverage of x
+        against dictionary-plus-self; s is the Schur complement of the
+        self column appended at weight one, so the bordered block is
+        never materialized. The coin has probability p = min(beta *
+        score, 1), and an admitted point enters with weight 1/p. `index`
+        (default: the count of points scored) is its recorded round.
         """
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if not np.isfinite(x).all():
@@ -158,41 +166,19 @@ class KorsSampler:
         if s <= SCHUR_RTOL * (kdiag + self.cfg.alpha):
             raise SchurNotPositive(
                 f"temporary member made the selection matrix singular (s={s:.3e})")
-        self._pending = (x, d_t, cross, kdiag)
-        tau = (1.0 + self.cfg.epsilon) * (1.0 - self.cfg.alpha / s)
-        return float(max(tau, 0.0))
-
-    # -- sampling --------------------------------------------------------
-
-    def sample(self, index: int, tau_tilde: float) -> tuple[float, int]:
-        """Coin flip on the pending point; on success it joins the dictionary."""
-        if self._pending is None:
-            raise RuntimeError("sample() without a preceding estimate_rls()")
-        x, d_t, cross, kdiag = self._pending
-        self._pending = None
-        p = min(self.cfg.beta * tau_tilde, 1.0)
+        tau = float(max((1.0 + self.cfg.epsilon) * (1.0 - self.cfg.alpha / s), 0.0))
+        p = min(self.cfg.beta * tau, 1.0)
         z = bernoulli(self._rng, p)
         if z:
             w = 1.0 / p
             # fold the admission weight into the appended row/column
             self.dict.sub_inv.append(cross * np.sqrt(w), kdiag * w)
-            self.dict.add(DictEntry(index=index, weight=w, prob=p), x, d_t, np.sqrt(w))
-        return p, z
-
-    def step(self, x, d_t: float = 1.0, index: int | None = None) -> KorsStep:
-        """Score, flip, and (maybe) admit one stream point."""
-        tau = self.estimate_rls(x, d_t)
-        if index is None:
-            index = self._rounds
-        p, z = self.sample(index, tau)
+            self.dict.add(x, d_t, self._rounds if index is None else index, p)
         return KorsStep(tau_tilde=tau, p_tilde=p, accepted=z, size=self.size)
-
-    # -- selection weights for audits -------------------------------------
 
     def selection_sq_weights(self, horizon: int) -> np.ndarray:
         """Squared selection weights over stream indices 1..horizon."""
         w = np.zeros(horizon)
-        for e in self.dict.entries:
-            if e.index <= horizon:
-                w[e.index - 1] = e.weight
+        keep = self.dict.rounds <= horizon
+        w[self.dict.rounds[keep] - 1] = 1.0 / self.dict.probs[keep]
         return w

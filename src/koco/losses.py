@@ -1,5 +1,6 @@
-"""Scalar convex losses, their derivatives, curvature constants, and the
-prediction-interval clipping function.
+"""Convex losses and their derivatives, written once elementwise for the
+learners, the curvature grid and the comparator; curvature constants; and
+the prediction-interval clipping function.
 
 Each family carries a curvature constant sigma such that
     loss(b) >= loss(a) + loss'(a)(b-a) + (sigma/2)(loss'(a)(b-a))^2
@@ -59,20 +60,30 @@ def clip_to_interval(z: float, C: float) -> float:
     return min(max(z, -C), C)
 
 
+def value(family: str, target, pred):
+    """Loss of `family` at prediction `pred` against `target`, elementwise."""
+    if family == SQUARED:
+        return (target - pred) ** 2
+    if family == LOGISTIC:
+        return np.logaddexp(0.0, -target * pred)
+    return np.maximum(0.0, 1.0 - target * pred) ** 2
+
+
+def derivative(family: str, target, pred):
+    """Derivative of `value` in `pred`, elementwise."""
+    if family == SQUARED:
+        return 2.0 * (pred - target)
+    if family == LOGISTIC:
+        return -target * expit(-target * pred)
+    return -2.0 * target * np.maximum(0.0, 1.0 - target * pred)
+
+
 def loss_value(ev: LossEvent, yhat: float) -> float:
-    if ev.family == SQUARED:
-        return float((ev.target - yhat) ** 2)
-    if ev.family == LOGISTIC:
-        return float(np.logaddexp(0.0, -ev.target * yhat))
-    return float(max(0.0, 1.0 - ev.target * yhat) ** 2)
+    return float(value(ev.family, ev.target, yhat))
 
 
 def loss_derivative(ev: LossEvent, yhat: float) -> float:
-    if ev.family == SQUARED:
-        return float(2.0 * (yhat - ev.target))
-    if ev.family == LOGISTIC:
-        return float(-ev.target * expit(-ev.target * yhat))
-    return float(-2.0 * ev.target * max(0.0, 1.0 - ev.target * yhat))
+    return float(derivative(ev.family, ev.target, yhat))
 
 
 # ---------------------------------------------------------------------------
@@ -86,22 +97,6 @@ def _family_params(family: str, C: float) -> list[float]:
     return [-1.0, 1.0]
 
 
-def _value_arr(family: str, p: float, y: np.ndarray) -> np.ndarray:
-    if family == SQUARED:
-        return (p - y) ** 2
-    if family == LOGISTIC:
-        return np.logaddexp(0.0, -p * y)
-    return np.maximum(0.0, 1.0 - p * y) ** 2
-
-
-def _deriv_arr(family: str, p: float, y: np.ndarray) -> np.ndarray:
-    if family == SQUARED:
-        return 2.0 * (y - p)
-    if family == LOGISTIC:
-        return -p * expit(-p * y)
-    return -2.0 * p * np.maximum(0.0, 1.0 - p * y)
-
-
 def asm_curvature_slack(family: str, sigma: float, C: float,
                         grid: int = _GRID) -> float:
     """Minimum over a (param, a, b) grid of
@@ -113,9 +108,9 @@ def asm_curvature_slack(family: str, sigma: float, C: float,
     a, b = np.meshgrid(pts, pts, indexing="ij")
     worst = np.inf
     for p in _family_params(family, C):
-        la = _value_arr(family, p, a)
-        lb = _value_arr(family, p, b)
-        da = _deriv_arr(family, p, a)
+        la = value(family, p, a)
+        lb = value(family, p, b)
+        da = derivative(family, p, a)
         slack = lb - la - da * (b - a) - 0.5 * sigma * (da * (b - a)) ** 2
         worst = min(worst, float(slack.min()))
     return worst

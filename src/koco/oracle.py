@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit
 
+from . import losses
 from .errors import NoProgress, NotPositiveDefinite
 from .kons import KonsConfig, eta_at
 from .linalg import psd_solve, sym_eigvals
@@ -151,40 +151,6 @@ class ComparatorResult:
     norm_sq: float        # coeffs' K coeffs
 
 
-class _StreamLoss:
-    """Vectorized total loss / derivative of a whole stream, column-wise
-    over a matrix of candidate prediction columns."""
-
-    def __init__(self, events):
-        fams = np.array([ev.family for ev in events])
-        self.targ = np.array([ev.target for ev in events])
-        self.sq = fams == "squared"
-        self.lg = fams == "logistic"
-        self.sh = fams == "squared-hinge"
-
-    def objective(self, P: np.ndarray) -> np.ndarray:
-        total = np.zeros(P.shape[1])
-        if self.sq.any():
-            total += np.sum((self.targ[self.sq, None] - P[self.sq]) ** 2, axis=0)
-        if self.lg.any():
-            total += np.sum(np.logaddexp(0.0, -self.targ[self.lg, None] * P[self.lg]), axis=0)
-        if self.sh.any():
-            total += np.sum(np.maximum(0.0, 1.0 - self.targ[self.sh, None] * P[self.sh]) ** 2, axis=0)
-        return total
-
-    def derivatives(self, P: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(P)
-        if self.sq.any():
-            out[self.sq] = 2.0 * (P[self.sq] - self.targ[self.sq, None])
-        if self.lg.any():
-            y = self.targ[self.lg, None]
-            out[self.lg] = -y * expit(-y * P[self.lg])
-        if self.sh.any():
-            y = self.targ[self.sh, None]
-            out[self.sh] = -2.0 * y * np.maximum(0.0, 1.0 - y * P[self.sh])
-        return out
-
-
 def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
                     restarts: int = 10, iters: int = 5000,
                     seed: int = 0) -> ComparatorResult:
@@ -198,20 +164,33 @@ def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
     radial rescaling is a valid projection surrogate). All restarts run
     as columns of one coefficient matrix; the best feasible iterate
     seen anywhere is returned. Any feasible output only loosens
-    measured regret, never invalidates a bound check.
+    measured regret, never invalidates a bound check. Every event must
+    carry the same loss family.
     """
     K = np.asarray(K, dtype=np.float64)
     T = K.shape[0]
     if T != len(events):
         raise ValueError("kernel matrix and event list disagree on length")
-    loss = _StreamLoss(events)
+    families = sorted({ev.family for ev in events})
+    if len(families) > 1:
+        raise ValueError(f"stream mixes loss families {families}")
+    family = families[0] if families else losses.SQUARED
+    targ = np.array([ev.target for ev in events])
+    tcol = targ[:, None]
+
+    def objective(P):
+        return np.sum(losses.value(family, tcol, P), axis=0)
+
+    def derivatives(P):
+        return losses.derivative(family, tcol, P)
+
     rng = named_rng(seed, "comparator-restarts")
     A = np.zeros((T, restarts))
     # two restarts warm-start at feasibility-rescaled ridge fits of the
     # targets (labels for classification), the rest perturb the origin
     for j, ridge in enumerate((1e-3, 1.0)):
         if j + 1 < restarts:
-            A[:, j + 1] = psd_solve(K, ridge, loss.targ)
+            A[:, j + 1] = psd_solve(K, ridge, targ)
     if restarts > 3:
         A[:, 3:] = rng.normal(scale=0.1 / max(T, 1), size=(T, restarts - 3))
 
@@ -224,14 +203,14 @@ def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
 
     P = K @ A
     rescale(A, P)
-    obj = loss.objective(P)
+    obj = objective(P)
     best_obj = np.inf
     best_a = np.zeros(T)
     best_p = np.zeros(T)
 
     # size steps by their prediction-space response so ill-conditioned
     # grams neither stall nor blow past the feasible slab
-    g0 = K @ loss.derivatives(P)
+    g0 = K @ derivatives(P)
     resp = np.max(np.abs(K @ g0), axis=0)
     step0 = 0.5 * C / np.maximum(resp, 1e-12)
 
@@ -241,7 +220,7 @@ def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
             best_obj = float(obj[i])
             best_a = A[:, i].copy()
             best_p = P[:, i].copy()
-        G = K @ loss.derivatives(P)
+        G = K @ derivatives(P)
         step = step0 / np.sqrt(k)
         A -= step * G
         # predictions follow linearly; resync from A now and then to stop
@@ -250,10 +229,10 @@ def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
         if k % 500 == 0:
             P = K @ A
         rescale(A, P)
-        obj = loss.objective(P)
+        obj = objective(P)
 
     P = K @ A
-    obj = loss.objective(P)
+    obj = objective(P)
     i = int(np.argmin(obj))
     if obj[i] < best_obj:
         best_obj = float(obj[i])

@@ -15,13 +15,11 @@ import numpy as np
 
 from . import harness, kernels, linalg, losses, oracle, streams
 from .kernels import gaussian, gram, linear
-from .kons import Kons, KonsConfig
-from .kors import KorsConfig, KorsSampler, dict_size_bound, required_budget
+from .kors import KorsSampler, dict_size_bound
 from .linalg import RegularizedInverse, psd_solve
 from .losses import LossEvent, curvature_profile
 from .rng import named_rng
-from .skons import SketchedKons, SkonsConfig, sandwich_audit
-from .streams import SyntheticSpec, generate_stream
+from .skons import sandwich_audit
 
 
 @dataclass
@@ -35,24 +33,17 @@ class CheckResult:
 # shared across checks within one process (criteria 5 and 6 reuse streams)
 _COMPARATOR_CACHE: dict = {}
 
-
-def _regression_stream(seed: int, T: int, dim: int = 3, noise: float = 0.1,
-                       centers: int = 8, clusters: int = 0, clip_c: float = 1.0):
-    spec = SyntheticSpec(generator=streams.RKHS_TARGET, input_dim=dim,
-                         horizon=T, n_centers=centers, noise_sd=noise,
-                         clip_c=clip_c, cluster_count=clusters)
-    return generate_stream(spec, seed, kernel=gaussian(1.0))
-
-
-def _squared_config(C: float = 1.0, alpha: float = 1.0,
-                    eta_mode: str = "fixed-sigma") -> KonsConfig:
-    prof = curvature_profile("squared", C)
-    return KonsConfig(clip_c=C, alpha=alpha, eta_mode=eta_mode,
-                      sigma=prof.sigma, lipschitz=prof.lipschitz)
+# every check's run is this config with some fields replaced: the exact
+# learner on a squared-loss rkhs-target stream (gaussian kernel, noise 0.1),
+# C = alpha = 1, fixed-sigma stepsizes, beta = required_budget(T, 0.1, 0.5)
+_BASE = harness.ExperimentConfig(
+    learner="kons", kernel=gaussian(1.0), loss_family="squared", clip_c=1.0,
+    alpha=1.0, horizon=1000, noise_sd=0.1)
 
 
-def _run(learner, events):
-    """Step a fresh learner through the whole stream and return it."""
+def _run(cfg: harness.ExperimentConfig, seed: int, events):
+    """`build_learner`'s learner for cfg at seed, stepped through events."""
+    learner = harness.build_learner(cfg, seed)
     for ev in events:
         learner.step(ev.point, ev)
     return learner
@@ -76,10 +67,10 @@ def criterion_1_primal_equivalence():
               for x, y in zip(X, rng.uniform(-0.9 * C, 0.9 * C, size=T))]
     worst = 0.0
     for mode in ("fixed-sigma", "inverse-sqrt"):
-        cfg = _squared_config(C, 1.0, mode)
-        learner = _run(Kons(linear(), cfg), events)
+        cfg = replace(_BASE, kernel=linear(), clip_c=C, horizon=T, eta_mode=mode)
+        learner = _run(cfg, 0, events)
         mine = np.array([r.yhat for r in learner.records])
-        ref = oracle.primal_ons(X, events, cfg)
+        ref = oracle.primal_ons(X, events, cfg.kons_config())
         err = float(np.max(np.abs(mine - ref) / np.maximum(1.0, np.abs(ref))))
         worst = max(worst, err)
     return worst <= 1e-6, f"max relative deviation {worst:.3e} (tol 1e-6)"
@@ -88,15 +79,12 @@ def criterion_1_primal_equivalence():
 def criterion_2_sketch_degeneracy():
     """gamma=1 sketched runs reproduce the exact learner within 1e-8,
     T=200, 5 seeds."""
+    cfg = replace(_BASE, horizon=200, beta=50.0, gamma=1.0)
     worst = 0.0
     for seed in range(5):
-        events = _regression_stream(seed, 200)
-        kc = _squared_config()
-        exact = _run(Kons(gaussian(1.0), kc), events)
-        sc = SkonsConfig(kons=kc, kors=KorsConfig(alpha=1.0, epsilon=0.5,
-                                                  beta=50.0, delta=0.1,
-                                                  rng_seed=seed), gamma=1.0)
-        sketch = _run(SketchedKons(gaussian(1.0), sc), events)
+        events = cfg.events(seed)
+        exact = _run(cfg, seed, events)
+        sketch = _run(replace(cfg, learner="skons"), seed, events)
         err = float(np.max(np.abs(
             np.array([r.yhat for r in exact.records])
             - np.array([r.yhat for r in sketch.records]))))
@@ -108,15 +96,15 @@ def criterion_3_sampler_guarantees(n_seeds: int = 50):
     """Sampler guarantees at T=300, eps=0.5, delta=0.1, pinned budget:
     leverage bracket, spectral sandwich at 3 checkpoints, size bound,
     each in >= 90% of seeds."""
-    T, eps, delta, alpha = 300, 0.5, 0.1, 1.0
-    beta = required_budget(T, delta, eps)
-    cfg0 = KorsConfig(alpha=alpha, epsilon=eps, beta=beta, delta=delta)
+    run = replace(_BASE, horizon=300, input_dim=2, noise_sd=0.0, cluster_count=1)
+    eps, alpha = run.epsilon, run.alpha
+    cfg0 = run.kors_config(0)
     rho = cfg0.rho
     checkpoints = (50, 150, 300)
 
-    events = _regression_stream(123, T, dim=2, noise=0.0, clusters=1)
+    events = run.events(123)
     pts = np.vstack([ev.point for ev in events])
-    K = gram(gaussian(1.0), pts)
+    K = gram(run.kernel, pts)
     exact_taus = oracle.prefix_rls(K, alpha)
     d_onl_prefix = np.cumsum(exact_taus)
     size_caps = dict_size_bound(cfg0, 1.0) * d_onl_prefix
@@ -130,9 +118,7 @@ def criterion_3_sampler_guarantees(n_seeds: int = 50):
 
     ok_bracket = ok_sandwich = ok_size = 0
     for seed in range(n_seeds):
-        cfg = KorsConfig(alpha=alpha, epsilon=eps, beta=beta, delta=delta,
-                         rng_seed=seed)
-        sampler = KorsSampler(gaussian(1.0), cfg)
+        sampler = KorsSampler(run.kernel, run.kors_config(seed))
         bracket = True
         size = True
         sandwich = True
@@ -170,20 +156,14 @@ def criterion_4_logdet_chain():
     rng = named_rng(4, "criterion-4")
     for i in range(20):
         T = int(rng.integers(60, 301))
-        events = _regression_stream(1000 + i, T, dim=int(rng.integers(1, 5)))
+        events = replace(_BASE, horizon=T,
+                         input_dim=int(rng.integers(1, 5))).events(1000 + i)
         pts = np.vstack([ev.point for ev in events])
         K = gram(gaussian(float(rng.uniform(0.5, 2.0))), pts)
         for alpha in (0.1, 1.0, 10.0):
             d_onl, logdet, upper = oracle.logdet_chain(K, alpha)
             worst = min(worst, logdet - d_onl, upper - logdet)
     return worst >= -1e-7, f"min chain slack {worst:.3e} (floor -1e-7)"
-
-
-# squared loss on the stream of _regression_stream(seed, 1000), C = alpha = 1,
-# fixed-sigma stepsizes; the sampler defaults give beta = required_budget(T, 0.1, 0.5)
-_REGRET_CONFIG = harness.ExperimentConfig(
-    learner="kons", kernel=gaussian(1.0), loss_family="squared", clip_c=1.0,
-    alpha=1.0, horizon=1000, noise_sd=0.1)
 
 
 def _regret_summary(cfg: harness.ExperimentConfig, seed: int) -> harness.RunSummary:
@@ -194,7 +174,7 @@ def _regret_summary(cfg: harness.ExperimentConfig, seed: int) -> harness.RunSumm
     key = (seed, cfg.horizon)
     if key not in _COMPARATOR_CACHE:
         _COMPARATOR_CACHE[key] = oracle.best_comparator(K, events, cfg.clip_c, seed=seed)
-    learner = _run(harness.build_learner(cfg, seed), events)
+    learner = _run(cfg, seed, events)
     return harness.summarize_run(cfg, seed, learner, _COMPARATOR_CACHE[key], K)
 
 
@@ -202,7 +182,7 @@ def criterion_5_curved_regret_bound():
     """Measured regret of the exact learner under the curved-loss bound
     that `koco run` reports, squared loss, fixed-sigma stepsizes, T=1000,
     5 seeds, every run."""
-    runs = [_regret_summary(_REGRET_CONFIG, seed) for seed in range(5)]
+    runs = [_regret_summary(_BASE, seed) for seed in range(5)]
     details = "; ".join(f"{sm.r_t:.1f}<={sm.bound_value:.1f}" for sm in runs)
     return all(sm.bound_ok for sm in runs), f"R_T vs bound per seed: {details}"
 
@@ -212,7 +192,7 @@ def criterion_6_sketched_regret_bound():
     that `koco run` reports, gamma in {0.1, 0.3}, 10 seeds, >= 90% of runs."""
     held = []
     for gamma in (0.1, 0.3):
-        cfg = replace(_REGRET_CONFIG, learner="skons", gamma=gamma)
+        cfg = replace(_BASE, learner="skons", gamma=gamma)
         held += [_regret_summary(cfg, seed).bound_ok for seed in range(10)]
     ok, need = sum(held), int(np.ceil(0.9 * len(held)))
     return ok >= need, f"bound held in {ok}/{len(held)} runs (need {need})"
@@ -265,16 +245,13 @@ def criterion_7_alternating_adversary():
     R_D = sum_t (eta_t - sigma) gdot_t^2 (yhat_t - u_t)^2 is 0 for every
     comparator u when every eta_t equals sigma, so that equality is
     checked instead of R_D against one fitted comparator."""
-    T, C, alpha = 2000, 1.0, 1.0
-    prof = curvature_profile("squared", C)
-    cfg = _squared_config(C, alpha)
-    spec = SyntheticSpec(generator=streams.ALTERNATING_ADVERSARY, input_dim=2,
-                         horizon=T, clip_c=C)
-    events = generate_stream(spec, 0)
-    learner = _run(Kons(gaussian(1.0), cfg), events)
+    cfg = replace(_BASE, generator=streams.ALTERNATING_ADVERSARY, input_dim=2,
+                  horizon=2000)
+    prof = curvature_profile(cfg.loss_family, cfg.clip_c)
+    learner = _run(cfg, 0, cfg.events(0))
     eta_dev = max(abs(r.eta - prof.sigma) for r in learner.records)
     rg_ok, rg_detail = rank_one_gradient_cap(learner.records, prof.sigma,
-                                             prof.lipschitz, alpha)
+                                             prof.lipschitz, cfg.alpha)
     return eta_dev == 0.0 and rg_ok, (
         f"max|eta_t - sigma|={eta_dev:.3e} (must be 0, so R_D=0 for every u); "
         f"{rg_detail}")
@@ -318,18 +295,11 @@ def criterion_9_speedup():
     """On a low-effective-dimension T=2000 stream with gamma=0, the
     sketched learner's mean step time over the final 500 rounds is at
     most 25% of the exact learner's."""
-    T, C, alpha = 2000, 1.0, 1.0
-    kc = _squared_config(C, alpha)
-    events = _regression_stream(99, T, dim=2, noise=0.05, clusters=1)
-    kern = gaussian(1.0)
-    exact = _run(Kons(kern, kc), events)
-    eps, delta = 0.5, 0.1
-    sc = SkonsConfig(kons=kc,
-                     kors=KorsConfig(alpha=alpha, epsilon=eps,
-                                     beta=required_budget(T, delta, eps),
-                                     delta=delta, rng_seed=99),
-                     gamma=0.0)
-    sketch = _run(SketchedKons(kern, sc), events)
+    cfg = replace(_BASE, horizon=2000, input_dim=2, noise_sd=0.05, cluster_count=1)
+    T = cfg.horizon
+    events = cfg.events(99)
+    exact = _run(cfg, 99, events)
+    sketch = _run(replace(cfg, learner="skons"), 99, events)
     tail = slice(T - 500, T)
     mean_exact = float(np.mean([r.elapsed_us for r in exact.records[tail]]))
     mean_sketch = float(np.mean([r.elapsed_us for r in sketch.records[tail]]))
@@ -392,11 +362,10 @@ def inv_loss_grids():
 
 
 def inv_rg_identity():
-    events = _regression_stream(31, 150)
-    cfg = _squared_config()
-    learner = _run(Kons(gaussian(1.0), cfg), events)
+    cfg = replace(_BASE, horizon=150)
+    learner = _run(cfg, 0, cfg.events(31))
     D = learner.d_scale
-    Kbar = gram(gaussian(1.0), learner.points) * np.outer(D, D)
+    Kbar = gram(cfg.kernel, learner.points) * np.outer(D, D)
     taus = oracle.prefix_rls(Kbar, cfg.alpha)
     etas = np.array([r.eta for r in learner.records])
     gap = abs(learner.rg_total - float(np.sum(taus / etas)))
@@ -407,19 +376,18 @@ def inv_rg_identity():
 
 
 def inv_clipping():
-    events = _regression_stream(32, 120, noise=0.5, clip_c=0.6)
-    cfg = _squared_config(C=0.6)
-    learner = _run(Kons(gaussian(1.0), cfg), events)
+    cfg = replace(_BASE, horizon=120, noise_sd=0.5, clip_c=0.6)
+    learner = _run(cfg, 0, cfg.events(32))
     worst = max(abs(r.yhat) for r in learner.records)
     return worst <= 0.6, f"max |clipped prediction| {worst} (C=0.6)"
 
 
 def inv_sampler_determinism():
-    events = _regression_stream(33, 120, clusters=1)
+    cfg = replace(_BASE, horizon=120, cluster_count=1, beta=20.0)
+    events = cfg.events(33)
     sizes = []
     for _ in range(2):
-        cfg = KorsConfig(alpha=1.0, epsilon=0.5, beta=20.0, delta=0.1, rng_seed=5)
-        s = KorsSampler(gaussian(1.0), cfg)
+        s = KorsSampler(cfg.kernel, cfg.kors_config(5))
         trace = [s.step(ev.point, 1.0) for ev in events]
         sizes.append([(r.tau_tilde, r.p_tilde, r.accepted) for r in trace])
     same = sizes[0] == sizes[1]
@@ -427,32 +395,26 @@ def inv_sampler_determinism():
         else "seeded traces diverged"
 
 
+# the sketched learner of the two spectral-audit blocks
+_SKETCH_AUDIT = replace(_BASE, learner="skons", horizon=150, beta=30.0, gamma=0.3)
+
+
 def inv_sketch_domination():
-    events = _regression_stream(34, 150)
-    kc = _squared_config()
-    sc = SkonsConfig(kons=kc, kors=KorsConfig(alpha=1.0, epsilon=0.5,
-                                              beta=30.0, delta=0.1,
-                                              rng_seed=2), gamma=0.3)
-    learner = _run(SketchedKons(gaussian(1.0), sc), events)
+    cfg = _SKETCH_AUDIT
+    learner = _run(cfg, 2, cfg.events(34))
     lo, hi = sandwich_audit(learner)
     p_min = min(r.p_accept for r in learner.records)
-    floor = (1.0 - sc.kors.epsilon) * p_min
+    floor = (1.0 - cfg.epsilon) * p_min
     ok = hi <= 1.0 + 1e-10
     return ok, (f"generalized eigenvalues in [{lo:.3f}, {hi:.6f}]; "
                 f"upper cap 1+1e-10; probabilistic floor reference {floor:.3f}")
 
 
 def inv_sketch_rd_nonpositive():
-    T, C = 500, 1.0
-    prof = curvature_profile("squared", C)
-    kc = _squared_config(C)
-    spec = SyntheticSpec(generator=streams.ALTERNATING_ADVERSARY, input_dim=2,
-                         horizon=T, clip_c=C)
-    events = generate_stream(spec, 0)
-    sc = SkonsConfig(kons=kc, kors=KorsConfig(alpha=1.0, epsilon=0.5,
-                                              beta=30.0, delta=0.1,
-                                              rng_seed=7), gamma=0.2)
-    learner = _run(SketchedKons(gaussian(1.0), sc), events)
+    cfg = replace(_BASE, learner="skons", generator=streams.ALTERNATING_ADVERSARY,
+                  input_dim=2, horizon=500, beta=30.0, gamma=0.2)
+    prof = curvature_profile(cfg.loss_family, cfg.clip_c)
+    learner = _run(cfg, 7, cfg.events(0))
     # every round contributes (eta*z - sigma)*gdot^2 times a nonnegative
     # square; with eta = sigma the coefficient never exceeds zero, which
     # makes the whole stepsize-excess term nonpositive for any comparator
@@ -464,15 +426,12 @@ def inv_sketch_rd_nonpositive():
 def inv_sketch_lower_floor(n_seeds: int = 20):
     """Sketch lower bound: generalized eigenvalues stay above
     (1-eps)*p_min in >= 90% of seeded runs."""
-    eps = 0.5
-    events = _regression_stream(35, 150)
-    kc = _squared_config()
+    cfg = _SKETCH_AUDIT
+    eps = cfg.epsilon
+    events = cfg.events(35)
     ok = 0
     for seed in range(n_seeds):
-        sc = SkonsConfig(kons=kc, kors=KorsConfig(alpha=1.0, epsilon=eps,
-                                                  beta=30.0, delta=0.1,
-                                                  rng_seed=seed), gamma=0.3)
-        learner = _run(SketchedKons(gaussian(1.0), sc), events)
+        learner = _run(cfg, seed, events)
         lo, _ = sandwich_audit(learner)
         p_min = min(r.p_accept for r in learner.records)
         ok += lo >= (1.0 - eps) * p_min - 1e-9
@@ -496,7 +455,7 @@ def inv_oracle_consistency():
 
 
 def inv_comparator_feasible():
-    events = _regression_stream(37, 80)
+    events = replace(_BASE, horizon=80).events(37)
     pts = np.vstack([ev.point for ev in events])
     K = gram(gaussian(1.0), pts)
     comp = oracle.best_comparator(K, events, 1.0, restarts=4, iters=1500, seed=0)

@@ -7,7 +7,7 @@ import pytest
 
 from koco import oracle, streams
 from koco.errors import ConfigError
-from koco.harness import (TRACE_COLUMNS, GdBaseline, build_learner,
+from koco.harness import (TRACE_COLUMNS, ExperimentConfig, GdBaseline, build_learner,
                           parse_config_text, run_experiment)
 from koco.kernels import gaussian, gram
 from koco.losses import LossEvent
@@ -61,6 +61,19 @@ def test_bad_values_rejected():
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         parse_config_text(BASE_CONFIG + "alpha = 2.0\n")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("learner", "skon", "learner must be one of"),
+    ("horizon", 0, "horizon must be at least 1"),
+    ("stream", "csv", "stream=csv requires csv_path"),
+], ids=["unknown-learner", "zero-horizon", "csv-without-path"])
+def test_experiment_config_validates_itself(field, value, message):
+    fields = dict(learner="kons", kernel=gaussian(1.0), loss_family="squared",
+                  clip_c=1.0, alpha=1.0, horizon=40)
+    ExperimentConfig(**fields)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{**fields, field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,13 @@ def test_config_validation():
 def test_estimate_on_empty_dictionary():
     # single normalized point, eps=0: leverage is 1/(1+alpha)
     s = KorsSampler(gaussian(1.0), make_cfg(epsilon=1e-15))
-    tau = s.estimate_rls(np.ones(2))
+    tau = s.step(np.ones(2)).tau_tilde
     assert tau == pytest.approx(0.5, abs=1e-12)
 
 
 def test_estimate_scales_with_epsilon():
     s = KorsSampler(gaussian(1.0), make_cfg(epsilon=0.5))
-    tau = s.estimate_rls(np.ones(2))
+    tau = s.step(np.ones(2)).tau_tilde
     assert tau == pytest.approx(0.75, abs=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_orthogonal_stream_grows_linearly():
 def test_non_finite_point_names_its_round():
     s = KorsSampler(gaussian(1.0), make_cfg())
     with pytest.raises(ValueError, match="round 1:"):
-        s.estimate_rls(np.array([np.nan, 0.0]))
+        s.step(np.array([np.nan, 0.0]))
     s.step(np.ones(2))
     s.step(np.zeros(2))
     with pytest.raises(ValueError, match="round 3:"):
@@ -92,13 +92,12 @@ def test_deterministic_acceptance_branches():
     s = KorsSampler(gaussian(1.0), make_cfg(beta=1e9))
     res = s.step(np.ones(2))
     assert res.p_tilde == 1.0 and res.accepted == 1
-    assert s.dict.entries[0].weight == 1.0
+    assert 1.0 / s.dict.probs[0] == 1.0
 
     s2 = KorsSampler(gaussian(1.0), make_cfg(beta=20.0))
-    tau = s2.estimate_rls(np.ones(2), d_t=0.0)  # zero rescale: zero feature
-    assert tau == 0.0
-    p, z = s2.sample(1, tau)
-    assert p == 0.0 and z == 0 and s2.size == 0
+    res = s2.step(np.ones(2), d_t=0.0)  # zero rescale: zero feature
+    assert res.tau_tilde == 0.0
+    assert res.p_tilde == 0.0 and res.accepted == 0 and s2.size == 0
 
 
 def test_acceptance_frequency_concentrates():
@@ -113,9 +112,9 @@ def test_weights_are_inverse_probabilities():
     for t in range(200):
         s.step(rng.normal(size=2))
     assert s.size > 0
-    for e in s.dict.entries:
-        assert e.weight == pytest.approx(1.0 / e.prob)
-        assert 0.0 < e.prob <= 1.0
+    for sweight, prob in zip(s.dict.sweights, s.dict.probs):
+        assert sweight**2 == pytest.approx(1.0 / prob)
+        assert 0.0 < prob <= 1.0
 
 
 def test_same_seed_reproduces_dictionary():
@@ -125,7 +124,7 @@ def test_same_seed_reproduces_dictionary():
         s = KorsSampler(gaussian(1.0), make_cfg(rng_seed=11, beta=10.0))
         for p in pts:
             s.step(p)
-        outs.append([(e.index, e.weight, e.prob) for e in s.dict.entries])
+        outs.append(list(zip(s.dict.rounds, s.dict.sweights, s.dict.probs)))
     assert outs[0] == outs[1]
 
 

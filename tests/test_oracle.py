@@ -174,6 +174,14 @@ def test_comparator_feasible_and_no_worse_than_zero():
     assert comp.total_loss <= zero_loss + 1e-9
 
 
+def test_comparator_rejects_mixed_families():
+    K = np.eye(2)
+    events = [LossEvent(np.zeros(1), "squared", 0.5),
+              LossEvent(np.ones(1), "logistic", 1.0)]
+    with pytest.raises(ValueError, match="logistic.*squared"):
+        best_comparator(K, events, 1.0, restarts=2, iters=10)
+
+
 def test_no_progress_error_exists():
     assert issubclass(NoProgress, Exception)
 

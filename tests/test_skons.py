@@ -94,7 +94,7 @@ def test_probability_floor_applies_only_to_learner():
     assert min(r.p_accept for r in sketch.records) >= gamma
     # ... the embedded sampler's dictionary is not: on a repeated point its
     # admission probabilities drop well below the floor
-    assert min(e.prob for e in sketch.kors.dict.entries) < gamma
+    assert min(sketch.kors.dict.probs) < gamma
     assert len(sketch.kors.dict) < len(sketch.selected)
 
 

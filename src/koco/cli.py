@@ -4,7 +4,9 @@
     koco verify --level fast|full
     koco gen --spec PATH --out PATH
 
-Exit codes: 0 success, 1 check/run failure, 2 config error.
+Exit codes: 0 success, 1 check/run failure, 2 config error. Every command
+reports a ConfigError as `config error: ...` and any other library error as
+`<command> failed at <error type>: ...`, one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,21 +20,13 @@ from .errors import ConfigError, KocoError
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = harness.parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = harness.parse_config(args.config)
     seeds = [args.seed] if args.seed is not None else list(cfg.seeds)
     out_dir = args.out if args.out is not None else cfg.out_dir
-    try:
-        for seed in seeds:
-            trace_path, summary = harness.run_experiment(cfg, seed, out_dir)
-            print(f"seed {seed}: trace -> {trace_path}")
-            sys.stdout.write(summary.as_text())
-    except KocoError as exc:
-        print(f"run failed at {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    for seed in seeds:
+        trace_path, summary = harness.run_experiment(cfg, seed, out_dir)
+        print(f"seed {seed}: trace -> {trace_path}")
+        sys.stdout.write(summary.as_text())
     return 0
 
 
@@ -42,12 +36,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        gen_cfg = harness.parse_config(args.spec)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    events = gen_cfg.events(args.seed)
+    events = harness.parse_config(args.spec).events(args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     streams.emit_csv(out, events)
@@ -80,7 +69,14 @@ def main(argv=None) -> int:
     p_gen.set_defaults(fn=_cmd_gen)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except KocoError as exc:
+        print(f"{args.command} failed at {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Experiment runner: config parsing, learner orchestration, trace and
 summary emission.
 
-Configs are flat key=value text files with explicit schema validation
-and unknown-key rejection, so an experiment is fully described by one
+Configs are flat key=value text files whose keys are ExperimentConfig's
+fields (with KernelSpec's for the kernel), parsed by each field's type,
+with unknown keys rejected; the config validates every setting of its
+learner when it is built, so an experiment is fully described by one
 diffable file plus one master seed.
 """
 
@@ -10,13 +12,13 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels, losses, oracle, streams
-from .errors import ConfigError, KocoError
+from .errors import ConfigError, KocoError, StreamParseError
 from .kernels import KernelSpec, cross_vector
 from .kons import Kons, KonsConfig, StepRecord, regret_report
 from .kors import KorsConfig, required_budget
@@ -77,6 +79,8 @@ class ExperimentConfig:
             raise ValueError("stream=csv requires csv_path")
         self.kons_config()     # clip_c, alpha, eta_mode, sigma
         self.synthetic_spec()  # generator, horizon >= 1, input_dim
+        if self.learner == "skons":  # gamma, epsilon, beta, delta, stepsizes
+            self.skons_config(self.seeds[0])
 
     def kons_config(self) -> KonsConfig:
         prof = curvature_profile(self.loss_family, self.clip_c)
@@ -104,63 +108,56 @@ class ExperimentConfig:
 
     def events(self, seed: int) -> list[LossEvent]:
         if self.stream == "csv":
-            return streams.ingest_csv(self.csv_path, self.loss_family, self.clip_c)
+            events = streams.ingest_csv(self.csv_path, self.loss_family, self.clip_c)
+            if len(events) != self.horizon:
+                raise StreamParseError(f"{self.csv_path} has {len(events)} rows, "
+                                       f"horizon is {self.horizon}")
+            return events
         return streams.generate_stream(self.synthetic_spec(), seed,
                                        kernel=self.kernel, family=self.loss_family)
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"seeds must be integers, got {text!r}") from None
-
-
-def _parse_comparator(text: str) -> bool:
+def _parse_bool(text: str) -> bool:
     if text.lower() not in ("true", "false"):
-        raise ConfigError("comparator must be true or false")
+        raise ValueError("must be true or false")
     return text.lower() == "true"
 
 
-_SCHEMA: dict[str, tuple] = {
-    # key: (parser, required)
-    "learner": (str, True),
-    "kernel": (str, True),
-    "bandwidth": (float, False),
-    "degree": (int, False),
-    "offset": (float, False),
-    "loss": (str, True),
-    "clip_c": (float, True),
-    "alpha": (float, True),
-    "horizon": (int, True),
-    "eta_mode": (str, False),
-    "sigma": (float, False),
-    "stream": (str, False),
-    "csv_path": (str, False),
-    "generator": (str, False),
-    "input_dim": (int, False),
-    "n_centers": (int, False),
-    "noise_sd": (float, False),
-    "spread": (float, False),
-    "cluster_count": (int, False),
-    "gamma": (float, False),
-    "epsilon": (float, False),
-    "beta": (float, False),
-    "delta": (float, False),
-    "seeds": (_parse_seeds, False),
-    "out_dir": (str, False),
-    "comparator": (_parse_comparator, False),
-}
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
 
-# keys that build the kernel rather than name an ExperimentConfig field
-_KERNEL_KEYS = ("kernel", "bandwidth", "degree", "offset")
+
+# parser of each field annotation a config key may carry ("| None" stripped)
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "tuple[int, ...]": _parse_ints}
+
+
+def _config_keys() -> dict[str, tuple]:
+    """Config key -> (owning dataclass, field name, parser, required), in
+    field order, with the kernel field expanded into KernelSpec's fields.
+    A key is its field's name, except `loss` and `kernel`."""
+    keys = {}
+    for f in fields(ExperimentConfig):
+        owner = KernelSpec if f.type == "KernelSpec" else ExperimentConfig
+        for g in (fields(KernelSpec) if owner is KernelSpec else (f,)):
+            parser = _PARSERS.get(g.type.removesuffix(" | None"))
+            if parser is None:
+                raise TypeError(f"config field {g.name!r} has no parser for {g.type!r}")
+            key = {"loss_family": "loss", "family": "kernel"}.get(g.name, g.name)
+            keys[key] = (owner, g.name, parser, g.default is MISSING)
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and validate a key=value config; unknown keys are rejected.
 
-    Keys the text leaves out take the ExperimentConfig defaults."""
-    raw: dict[str, str] = {}
+    The keys are ExperimentConfig's fields (`loss` for `loss_family`) and
+    KernelSpec's (`kernel` for `family`); keys the text leaves out take
+    those dataclasses' defaults."""
+    args: dict = {KernelSpec: {}, ExperimentConfig: {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -168,46 +165,26 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key=value, got {body!r}")
         key, value = (part.strip() for part in body.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        owner, name, parser, _ = _CONFIG_KEYS[key]
+        if name in args[owner]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
-
-    for key, (_, required) in _SCHEMA.items():
-        if required and key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-
-    def take(key, default=None):
-        if key not in raw:
-            return default
-        parser = _SCHEMA[key][0]
         try:
-            return parser(raw[key])
+            args[owner][name] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from None
+    for key, (owner, name, _, required) in _CONFIG_KEYS.items():
+        if required and name not in args[owner]:
+            raise ConfigError(f"missing required key {key!r}")
 
-    kern_name = take("kernel")
-    try:
-        if kern_name == kernels.GAUSSIAN:
-            kern = kernels.gaussian(take("bandwidth", 1.0))
-        elif kern_name == kernels.LINEAR:
-            kern = kernels.linear()
-        elif kern_name == kernels.POLYNOMIAL:
-            kern = kernels.polynomial(take("degree", 2), take("offset", 0.0))
-        else:
-            raise ConfigError(f"unknown kernel {kern_name!r}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    fields = {"loss_family" if key == "loss" else key: take(key)
-              for key in raw if key not in _KERNEL_KEYS}
-    csv_path = fields.get("csv_path")
-    if fields.get("stream") == "csv" and csv_path is not None \
+    cfg_args = args[ExperimentConfig]
+    csv_path = cfg_args.get("csv_path")
+    if cfg_args.get("stream") == "csv" and csv_path is not None \
             and not Path(csv_path).exists():
         raise ConfigError(f"csv_path does not exist: {csv_path}")
     try:
-        return ExperimentConfig(kernel=kern, **fields)
+        return ExperimentConfig(kernel=KernelSpec(**args[KernelSpec]), **cfg_args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -290,21 +267,12 @@ class RunSummary:
     bound_ok: bool | None = None
 
     def as_text(self) -> str:
-        pairs = [
-            ("learner", self.learner), ("seed", self.seed),
-            ("horizon", self.horizon),
-            ("cumulative_loss", _fmt(self.cumulative_loss)),
-            ("comparator_loss", _fmt(self.comparator_loss)),
-            ("r_t", _fmt(self.r_t)), ("r_g", _fmt(self.r_g)),
-            ("r_d", _fmt(self.r_d)),
-            ("final_dict_size", self.final_dict_size),
-            ("final_sampler_size", self.final_sampler_size),
-            ("mean_step_us", _fmt(self.mean_step_us)),
-            ("max_step_us", _fmt(self.max_step_us)),
-            ("bound_value", _fmt(self.bound_value)),
-            ("bound_ok", self.bound_ok),
-        ]
-        return "".join(f"{k}={v}\n" for k, v in pairs)
+        """One `field=value` line per field, in order; floats through _fmt."""
+        lines = []
+        for f in fields(self):
+            v = getattr(self, f.name)
+            lines.append(f"{f.name}={_fmt(v) if f.type.startswith('float') else v}\n")
+        return "".join(lines)
 
 
 def _fmt(v):

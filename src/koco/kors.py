@@ -48,6 +48,8 @@ class KorsConfig:
 
 def required_budget(horizon: int, delta: float, epsilon: float) -> float:
     """Smallest budget for which the sampler's guarantees are asserted."""
+    if not (0.0 < epsilon <= 1.0 and 0.0 < delta < 1.0):
+        raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
     return 3.0 * np.log(horizon / delta) / epsilon**2
 
 

@@ -97,14 +97,13 @@ def _family_params(family: str, C: float) -> list[float]:
     return [-1.0, 1.0]
 
 
-def asm_curvature_slack(family: str, sigma: float, C: float,
-                        grid: int = _GRID) -> float:
+def asm_curvature_slack(family: str, sigma: float, C: float) -> float:
     """Minimum over a (param, a, b) grid of
     loss(b) - loss(a) - loss'(a)(b-a) - (sigma/2)(loss'(a)(b-a))^2.
 
     Nonnegative (up to roundoff) means sigma is admissible on [-C, C].
     """
-    pts = np.linspace(-C, C, grid)
+    pts = np.linspace(-C, C, _GRID)
     a, b = np.meshgrid(pts, pts, indexing="ij")
     worst = np.inf
     for p in _family_params(family, C):

@@ -47,9 +47,10 @@ def generate_stream(spec: SyntheticSpec, seed: int,
     The rkhs-target generator draws a random span-of-kernels function,
     rescales it to fill most of the feasible interval, clamps outputs to
     [-C, C], and adds seeded noise. The adversarial generator plays one
-    fixed point with squared targets alternating +C, -C. The drift
-    generator walks along one axis so consecutive points are nearly
-    orthogonal under a unit-bandwidth gaussian kernel.
+    fixed point with targets alternating +C, -C (labels +1, -1 for the
+    classification families). The drift generator walks along one axis
+    so consecutive points are nearly orthogonal under a unit-bandwidth
+    gaussian kernel.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown loss family {family!r}")
@@ -57,9 +58,8 @@ def generate_stream(spec: SyntheticSpec, seed: int,
     T, dim, C = spec.horizon, spec.input_dim, spec.clip_c
 
     if spec.generator == ALTERNATING_ADVERSARY:
-        point = np.ones(dim)
-        targets = np.where(np.arange(T) % 2 == 0, C, -C)
-        return [LossEvent(point.copy(), SQUARED, float(y)) for y in targets]
+        raw = np.where(np.arange(T) % 2 == 0, C, -C)
+        return _label_events(np.ones((T, dim)), raw, family, C)
 
     if spec.generator == ORTHOGONAL_DRIFT:
         xs = np.zeros((T, dim))

@@ -92,10 +92,11 @@ def criterion_2_sketch_degeneracy():
     return worst <= 1e-8, f"max |exact - sketched| {worst:.3e} (tol 1e-8)"
 
 
-def criterion_3_sampler_guarantees(n_seeds: int = 50):
+def criterion_3_sampler_guarantees():
     """Sampler guarantees at T=300, eps=0.5, delta=0.1, pinned budget:
     leverage bracket, spectral sandwich at 3 checkpoints, size bound,
-    each in >= 90% of seeds."""
+    each in >= 90% of 50 seeds."""
+    n_seeds = 50
     run = replace(_BASE, horizon=300, input_dim=2, noise_sd=0.0, cluster_count=1)
     eps, alpha = run.epsilon, run.alpha
     cfg0 = run.kors_config(0)
@@ -257,12 +258,12 @@ def criterion_7_alternating_adversary():
         f"{rg_detail}")
 
 
-def criterion_8_matrix_identities(n_cases: int = 100):
+def criterion_8_matrix_identities():
     """Primal/dual shift-inverse identity at 1e-9 and append-composition
     at 1e-8 over 100 random instances each."""
     rng = named_rng(8, "criterion-8")
     worst_identity = 0.0
-    for _ in range(n_cases):
+    for _ in range(100):
         n = int(rng.integers(1, 21))
         m = int(rng.integers(1, 21))
         X = rng.normal(size=(n, m))
@@ -276,7 +277,7 @@ def criterion_8_matrix_identities(n_cases: int = 100):
         worst_identity = max(worst_identity, float(np.max(np.abs(via_dual - direct))))
 
     worst_compose = 0.0
-    for case in range(n_cases):
+    for case in range(100):
         t = int(rng.integers(2, 41)) if case else 200
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
         ri = RegularizedInverse(alpha)
@@ -423,9 +424,10 @@ def inv_sketch_rd_nonpositive():
     return worst <= 1e-9, f"max stepsize-excess coefficient {worst:.3e} (tol 1e-9)"
 
 
-def inv_sketch_lower_floor(n_seeds: int = 20):
+def inv_sketch_lower_floor():
     """Sketch lower bound: generalized eigenvalues stay above
-    (1-eps)*p_min in >= 90% of seeded runs."""
+    (1-eps)*p_min in >= 90% of 20 seeded runs."""
+    n_seeds = 20
     cfg = _SKETCH_AUDIT
     eps = cfg.epsilon
     events = cfg.events(35)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from koco import oracle, streams
-from koco.errors import ConfigError
+from koco.errors import ConfigError, StreamParseError
 from koco.harness import (TRACE_COLUMNS, ExperimentConfig, GdBaseline, build_learner,
                           parse_config_text, run_experiment)
 from koco.kernels import gaussian, gram
@@ -56,6 +56,14 @@ def test_bad_values_rejected():
         parse_config_text(BASE_CONFIG.replace("clip_c = 1.0", "clip_c = -2"))
     with pytest.raises(ConfigError):
         parse_config_text(BASE_CONFIG + "stream = csv\n")  # csv without path
+    with pytest.raises(ConfigError, match="unknown kernel family 'cosine'"):
+        parse_config_text(BASE_CONFIG.replace("kernel = gaussian", "kernel = cosine"))
+    skons = BASE_CONFIG.replace("learner = kons", "learner = skons")
+    parse_config_text(skons)
+    for setting in ("gamma = 2.0", "epsilon = 0", "delta = 0", "delta = 1",
+                    "beta = 0", "eta_mode = inverse-sqrt"):
+        with pytest.raises(ConfigError):
+            parse_config_text(skons + setting + "\n")
 
 
 def test_duplicate_key_rejected():
@@ -63,17 +71,26 @@ def test_duplicate_key_rejected():
         parse_config_text(BASE_CONFIG + "alpha = 2.0\n")
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("learner", "skon", "learner must be one of"),
-    ("horizon", 0, "horizon must be at least 1"),
-    ("stream", "csv", "stream=csv requires csv_path"),
-], ids=["unknown-learner", "zero-horizon", "csv-without-path"])
-def test_experiment_config_validates_itself(field, value, message):
+@pytest.mark.parametrize("changes, message", [
+    (dict(learner="skon"), "learner must be one of"),
+    (dict(horizon=0), "horizon must be at least 1"),
+    (dict(stream="csv"), "stream=csv requires csv_path"),
+    (dict(learner="skons", gamma=2.0), r"gamma must lie in \[0, 1\]"),
+    (dict(learner="skons", epsilon=0.0), r"epsilon must lie in \(0, 1\]"),
+    (dict(learner="skons", delta=0.0), r"delta in \(0, 1\)"),
+    (dict(learner="skons", delta=1.0), r"delta in \(0, 1\)"),
+    (dict(learner="skons", beta=0.0), "beta must be positive"),
+    (dict(learner="skons", eta_mode="inverse-sqrt"), "fixed positive-sigma stepsizes"),
+], ids=["unknown-learner", "zero-horizon", "csv-without-path", "skons-gamma-2",
+        "skons-epsilon-0", "skons-delta-0", "skons-delta-1", "skons-beta-0",
+        "skons-inverse-sqrt"])
+def test_experiment_config_validates_itself(changes, message):
     fields = dict(learner="kons", kernel=gaussian(1.0), loss_family="squared",
                   clip_c=1.0, alpha=1.0, horizon=40)
     ExperimentConfig(**fields)
+    ExperimentConfig(**{**fields, "learner": "skons"})
     with pytest.raises(ValueError, match=message):
-        ExperimentConfig(**{**fields, field: value})
+        ExperimentConfig(**{**fields, **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +166,18 @@ def test_csv_stream_round_trip(tmp_path):
     csv_cfg = parse_config_text(
         BASE_CONFIG + f"stream = csv\ncsv_path = {stream_path}\n")
     assert len(csv_cfg.events(0)) == 40
+
+
+@pytest.mark.parametrize("rows", [0, 39], ids=["header-only", "short"])
+def test_csv_stream_must_have_horizon_rows(tmp_path, rows):
+    stream_path = tmp_path / "stream.csv"
+    streams.emit_csv(stream_path, parse_config_text(BASE_CONFIG).events(0))
+    lines = stream_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    stream_path.write_text("".join(lines[: rows + 1]), encoding="utf-8")
+    cfg = parse_config_text(BASE_CONFIG + f"stream = csv\ncsv_path = {stream_path}\n")
+    with pytest.raises(StreamParseError,
+                       match=f"stream.csv has {rows} rows, horizon is 40"):
+        cfg.events(0)
 
 
 @pytest.mark.parametrize("learner", ["kons", "skons"])
@@ -261,6 +290,12 @@ def test_cli_config_error_is_exit_two(tmp_path):
     assert done.returncode == 2
     assert "unknown key" in done.stderr
 
+    cfg_path.write_text(BASE_CONFIG.replace("learner = kons", "learner = skons")
+                        + "gamma = 2\n")
+    done = run_cli("run", "--config", str(cfg_path))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["config error: gamma must lie in [0, 1]"]
+
 
 def test_cli_gen_emits_stream(tmp_path):
     cfg_path = tmp_path / "exp.conf"
@@ -273,3 +308,15 @@ def test_cli_gen_emits_stream(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["f1", "f2", "target"]
     assert len(rows) == 41
+
+
+def test_cli_gen_reports_a_bad_stream_without_traceback(tmp_path):
+    stream_path = tmp_path / "stream.csv"
+    stream_path.write_text("f1,f2,target\n0.1,0.2,0.5\n0.3,0.4,5.0\n")
+    cfg_path = tmp_path / "exp.conf"
+    cfg_path.write_text(BASE_CONFIG.replace("horizon = 40", "horizon = 2")
+                        + f"stream = csv\ncsv_path = {stream_path}\n")
+    done = run_cli("gen", "--spec", str(cfg_path), "--out", str(tmp_path / "out.csv"))
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "gen failed at TargetOutOfRange: targets exceed |target| <= 1.0 on rows [3]"]

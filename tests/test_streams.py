@@ -15,6 +15,16 @@ def test_alternating_adversary_exact_pattern():
     assert all(ev.family == "squared" for ev in events)
 
 
+@pytest.mark.parametrize("family", ["logistic", "squared-hinge"])
+def test_alternating_adversary_follows_the_loss_family(family):
+    spec = SyntheticSpec(generator="sixsix-adversary", input_dim=2, horizon=5,
+                         clip_c=2.0)
+    events = generate_stream(spec, 0, family=family)
+    assert [ev.target for ev in events] == [1.0, -1.0, 1.0, -1.0, 1.0]
+    assert all(np.array_equal(ev.point, np.ones(2)) for ev in events)
+    assert all(ev.family == family for ev in events)
+
+
 def test_rkhs_target_noise_free_is_clamped_function():
     spec = SyntheticSpec(generator="rkhs-target", input_dim=2, horizon=50,
                          n_centers=4, noise_sd=0.0, clip_c=1.0)

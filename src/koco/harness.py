@@ -261,6 +261,7 @@ class RunSummary:
     r_d: float | None
     final_dict_size: int
     final_sampler_size: int
+    rejected_appends: int  # sketch appends demoted by a singular Schur complement
     mean_step_us: float
     max_step_us: float
     bound_value: float | None = None
@@ -368,6 +369,7 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
         r_t=r_t, r_g=r_g, r_d=r_d,
         final_dict_size=records[-1].dict_size if records else 0,
         final_sampler_size=sampler_size,
+        rejected_appends=getattr(learner, "rejected_appends", 0),
         mean_step_us=float(times.mean()) if len(times) else 0.0,
         max_step_us=float(times.max()) if len(times) else 0.0,
         bound_value=bound_value, bound_ok=bound_ok)

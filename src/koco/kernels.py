@@ -23,20 +23,21 @@ FAMILIES = (GAUSSIAN, LINEAR, POLYNOMIAL)
 @dataclass(frozen=True)
 class KernelSpec:
     family: str
-    bandwidth: float = 1.0   # gaussian only
-    degree: int = 2          # polynomial only
-    offset: float = 0.0      # polynomial only
+    bandwidth: float = 1.0   # read by gaussian only
+    degree: int = 2          # read by polynomial only
+    offset: float = 0.0      # read by polynomial only
 
     def __post_init__(self):
+        # every family checks every parameter, so a bad value is never
+        # silently ignored by a family that does not read it
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == GAUSSIAN and self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if self.family == POLYNOMIAL:
-            if self.degree < 1:
-                raise ValueError("degree must be a positive integer")
-            if self.offset < 0:
-                raise ValueError("offset must be nonnegative")
+        if self.degree < 1:
+            raise ValueError("degree must be a positive integer")
+        if not self.offset >= 0:
+            raise ValueError("offset must be nonnegative")
 
 
 def gaussian(bandwidth: float = 1.0) -> KernelSpec:

@@ -192,14 +192,15 @@ class NewtonCore:
         kc = k * self.d_scale * d_t
         kdiag = d_t * d_t
         w = self._cols(kc)
-        q_raw = (kdiag - float(w @ self._precond.apply(w))) / cfg.alpha
+        u = self._precond.apply(w)
+        q_raw = (kdiag - float(w @ u)) / cfg.alpha
         q = max(q_raw, Q_FLOOR)
         b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / np.sqrt(eta)
 
         if self.t == 0:
             self._pts = np.zeros((16, x.shape[0]))
         self._grow(t_new)
-        tau, p_accept, accepted = self._select(x, d_t, w, kdiag, q_raw)
+        tau, p_accept, accepted = self._select(x, d_t, w, u, kdiag, q_raw)
 
         self._pts[self.t] = x
         self._d[self.t] = d_t
@@ -223,14 +224,15 @@ class NewtonCore:
         self.records.append(rec)
         return rec
 
-    def _select(self, x: np.ndarray, d_t: float, w: np.ndarray, kdiag: float,
-                q_raw: float) -> tuple[float, float, int]:
+    def _select(self, x: np.ndarray, d_t: float, w: np.ndarray, u: np.ndarray,
+                kdiag: float, q_raw: float) -> tuple[float, float, int]:
         """(tau, p_accept, accepted) of the round whose restricted column
-        is w with corner kdiag; admits the column when it is accepted."""
+        is w, with preconditioner product u, and corner kdiag; admits the
+        column when it is accepted."""
         raise NotImplementedError
 
-    def _admit(self, w: np.ndarray, kdiag: float) -> None:
-        self._precond.append(w, kdiag)
+    def _admit(self, w: np.ndarray, u: np.ndarray, kdiag: float) -> None:
+        self._precond.append(w, kdiag, inv_cross=u)
         self._sel[self._n_sel] = self.t
         self._n_sel += 1
 
@@ -249,9 +251,9 @@ class Kons(NewtonCore):
     def reg_inv(self) -> RegularizedInverse:
         return self._precond
 
-    def _select(self, x, d_t, w, kdiag, q_raw):
+    def _select(self, x, d_t, w, u, kdiag, q_raw):
         # a singular append raises SchurNotPositive and aborts the round
-        self._admit(w, kdiag)
+        self._admit(w, u, kdiag)
         q_pos = max(q_raw, 0.0)
         return q_pos / (1.0 + q_pos), 1.0, 1
 

@@ -174,6 +174,7 @@ class KorsSampler:
         if z:
             w = 1.0 / p
             # fold the admission weight into the appended row/column
+            # (no inv_cross: inv·(cross·√w) rounds unlike √w·(inv·cross))
             self.dict.sub_inv.append(cross * np.sqrt(w), kdiag * w)
             self.dict.add(x, d_t, self._rounds if index is None else index, p)
         return KorsStep(tau_tilde=tau, p_tilde=p, accepted=z, size=self.size)

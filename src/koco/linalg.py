@@ -2,7 +2,10 @@
 
 Regularized inverses are grown one row/column at a time by Schur
 bordering and periodically rebuilt from the tracked matrix to bound
-drift. Everything is dense float64: at desk scale (a few thousand
+drift. An append of order n costs one n×n mat-vec, or none when the
+caller passes the product (M + alpha I)^{-1}·cross it already has, plus
+an in-place rank-1 update applied in row blocks, so no n×n temporary
+is built. Everything is dense float64: at desk scale (a few thousand
 points) sparse or low-rank storage buys nothing.
 """
 
@@ -18,6 +21,12 @@ REFRESH_EVERY = 512
 
 # Relative floor on the Schur complement of an appended row/column.
 SCHUR_RTOL = 1e-12
+
+# Bytes of the temporary that append's in-place rank-1 update fills per
+# row block. With the inverse rows it is added into, a block takes twice
+# this, 1 MiB, which stays within a core's L2 cache: 64 rows at order
+# 1024, and the whole update in one block up to order 256.
+APPEND_BLOCK_BYTES = 512 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +128,10 @@ class RegularizedInverse:
     whose Schur complement falls below SCHUR_RTOL·(diag + alpha) are
     rejected: a near-singular bordering would silently corrupt every
     later product.
+
+    An append at order n costs O(n²): the product u = inv·cross (skipped
+    when the caller supplies it) and the update inv += u uᵀ/s, added in
+    place in row blocks of APPEND_BLOCK_BYTES with no n×n temporary.
     """
 
     def __init__(self, alpha: float):
@@ -165,19 +178,25 @@ class RegularizedInverse:
             return float(diag) + self.alpha
         return float(diag) + self.alpha - float(cross @ (self.inv @ cross))
 
-    def append(self, cross: np.ndarray, diag: float) -> None:
-        """Grow M by one row/column (border `cross`, corner `diag`) in place."""
+    def append(self, cross: np.ndarray, diag: float,
+               inv_cross: np.ndarray | None = None) -> None:
+        """Grow M by one row/column (border `cross`, corner `diag`) in place.
+
+        `inv_cross`, when given, must be `apply(cross)`; the append then
+        skips that product. The result is the same bit for bit.
+        """
         cross = as_vec(cross)
         n = self.order
         if cross.shape[0] != n:
             raise ValueError(f"cross has length {cross.shape[0]}, expected {n}")
-        diag = float(diag)
-        if n == 0:
-            s = diag + self.alpha
-            u = np.zeros(0)
-        else:
+        if inv_cross is None:
             u = self.inv @ cross
-            s = diag + self.alpha - float(cross @ u)
+        else:
+            u = np.asarray(inv_cross, dtype=np.float64)
+            if u.shape != (n,):
+                raise ValueError(f"inv_cross has shape {u.shape}, expected ({n},)")
+        diag = float(diag)
+        s = diag + self.alpha - float(cross @ u)
         if s <= SCHUR_RTOL * (diag + self.alpha):
             raise SchurNotPositive(
                 f"schur complement {s:.3e} below tolerance at order {n}")
@@ -185,10 +204,16 @@ class RegularizedInverse:
         self._mat[:n, n] = cross
         self._mat[n, :n] = cross
         self._mat[n, n] = diag
-        if n:
-            self._inv[:n, :n] += np.outer(u, u) / s
-            self._inv[:n, n] = -u / s
-            self._inv[n, :n] = -u / s
+        # each entry gains fl(fl(u_i u_j) / s), as from np.outer(u, u) / s
+        rows = max(1, APPEND_BLOCK_BYTES // (8 * max(n, 1)))
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            tmp = np.multiply.outer(u[r0:r1], u)
+            tmp /= s
+            self._inv[r0:r1, :n] += tmp
+        border = -u / s
+        self._inv[:n, n] = border
+        self._inv[n, :n] = border
         self._inv[n, n] = 1.0 / s
         self.order = n + 1
         self._appends += 1

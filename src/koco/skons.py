@@ -68,14 +68,14 @@ class SketchedKons(NewtonCore):
     def e_inv(self) -> RegularizedInverse:
         return self._precond
 
-    def _select(self, x, d_t, w, kdiag, q_raw):
+    def _select(self, x, d_t, w, u, kdiag, q_raw):
         # independent sampler: only its leverage estimate crosses over
         kres = self.kors.step(x, d_t, index=self.t + 1)
         p = max(min(self.cfg.kors.beta * kres.tau_tilde, 1.0), self.cfg.gamma)
         accepted = bernoulli(self._coin_rng, p)
         if accepted:
             try:
-                self._admit(w, kdiag)
+                self._admit(w, u, kdiag)
             except SchurNotPositive:
                 # a dropped column costs regret, never correctness
                 self.rejected_appends += 1

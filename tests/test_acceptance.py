@@ -15,11 +15,16 @@ RUNTIME_CAPS = {
     "acceptance/3-sampler-guarantees": 300.0,
 }
 
-CRITERIA = [(name, fn) for name, _, fn in verify.CHECKS
-            if name.startswith("acceptance/")]
+# the criteria that take most of the suite's time; `-m "not slow"` skips them
+SLOW = {"5-curved-regret-bound", "6-sketched-regret-bound",
+        "7-alternating-adversary", "9-speedup-trend"}
+
+CRITERIA = [pytest.param(name, fn, id=name.split("/")[1],
+                         marks=pytest.mark.slow if name.split("/")[1] in SLOW else ())
+            for name, _, fn in verify.CHECKS if name.startswith("acceptance/")]
 
 
-@pytest.mark.parametrize("name,fn", CRITERIA, ids=[n.split("/")[1] for n, _ in CRITERIA])
+@pytest.mark.parametrize("name,fn", CRITERIA)
 def test_criterion(name, fn, capsys):
     tic = time.perf_counter()
     passed, detail = fn()

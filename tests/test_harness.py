@@ -58,6 +58,9 @@ def test_bad_values_rejected():
         parse_config_text(BASE_CONFIG + "stream = csv\n")  # csv without path
     with pytest.raises(ConfigError, match="unknown kernel family 'cosine'"):
         parse_config_text(BASE_CONFIG.replace("kernel = gaussian", "kernel = cosine"))
+    with pytest.raises(ConfigError, match="bandwidth must be positive"):
+        parse_config_text(BASE_CONFIG.replace("kernel = gaussian", "kernel = linear-normalized")
+                          .replace("bandwidth = 1.0", "bandwidth = -1"))
     skons = BASE_CONFIG.replace("learner = kons", "learner = skons")
     parse_config_text(skons)
     for setting in ("gamma = 2.0", "epsilon = 0", "delta = 0", "delta = 1",
@@ -214,6 +217,28 @@ def test_no_bound_outside_the_newton_step_theorem(tmp_path, text):
     assert "bound_value=none\nbound_ok=None\n" in summary.as_text()
 
 
+@pytest.mark.parametrize("learner", ["kons", "gd-baseline"])
+def test_summary_reports_no_rejected_appends_without_a_sketch(tmp_path, learner):
+    cfg = parse_config_text(BASE_CONFIG.replace("learner = kons", f"learner = {learner}"))
+    _, summary = run_experiment(cfg, 0, tmp_path)
+    assert summary.rejected_appends == 0
+    assert "\nrejected_appends=0\n" in summary.as_text()
+
+
+def test_summary_reports_rejected_appends(tmp_path):
+    # the adversary replays one point: at alpha 1e-13 every sketch append
+    # after the first is singular, and at beta 1e-3 the sampler admits
+    # nothing, so its own singularity check never fires
+    text = (BASE_CONFIG.replace("learner = kons", "learner = skons")
+            .replace("generator = rkhs-target", "generator = sixsix-adversary")
+            .replace("alpha = 1.0", "alpha = 1e-13")
+            + "gamma = 1.0\nbeta = 0.001\ncomparator = false\n")
+    _, summary = run_experiment(parse_config_text(text), 0, tmp_path)
+    assert summary.final_dict_size == 1 and summary.final_sampler_size == 0
+    assert summary.rejected_appends == 39
+    assert "\nrejected_appends=39\n" in (tmp_path / "summary_skons_0.txt").read_text()
+
+
 def test_csv_run_reads_its_stream_once(tmp_path, monkeypatch):
     stream_path = tmp_path / "stream.csv"
     streams.emit_csv(stream_path, parse_config_text(BASE_CONFIG).events(0))
@@ -295,6 +320,12 @@ def test_cli_config_error_is_exit_two(tmp_path):
     done = run_cli("run", "--config", str(cfg_path))
     assert done.returncode == 2
     assert done.stderr.splitlines() == ["config error: gamma must lie in [0, 1]"]
+
+    cfg_path.write_text(BASE_CONFIG.replace("kernel = gaussian", "kernel = linear-normalized")
+                        .replace("bandwidth = 1.0", "bandwidth = -1"))
+    done = run_cli("run", "--config", str(cfg_path))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["config error: bandwidth must be positive"]
 
 
 def test_cli_gen_emits_stream(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from koco.errors import DimensionMismatch, ZeroNormPoint
-from koco.kernels import cross_vector, eval_kernel, gaussian, gram, linear, polynomial
+from koco.kernels import (FAMILIES, KernelSpec, cross_vector, eval_kernel, gaussian, gram,
+                          linear, polynomial)
 from koco.linalg import sym_eigvals
 
 
@@ -35,6 +36,18 @@ def test_polynomial_normalized_self():
     y = np.array([-1.0, 0.5])
     v = eval_kernel(k, x, y)
     assert abs(v) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("bad, message", [
+    (dict(bandwidth=-1.0), "bandwidth must be positive"),
+    (dict(degree=0), "degree must be a positive integer"),
+    (dict(offset=-0.5), "offset must be nonnegative"),
+], ids=["bandwidth", "degree", "offset"])
+def test_every_family_checks_every_parameter(family, bad, message):
+    KernelSpec(family)
+    with pytest.raises(ValueError, match=message):
+        KernelSpec(family, **bad)
 
 
 def test_dimension_mismatch():

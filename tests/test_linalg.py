@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from koco.errors import NoConvergence, NotPositiveDefinite, SchurNotPositive
-from koco.linalg import (REFRESH_EVERY, RegularizedInverse, gram_shift_product,
-                         gram_shift_product_direct, psd_solve, sym_eigvals)
+from koco.linalg import (APPEND_BLOCK_BYTES, REFRESH_EVERY, RegularizedInverse,
+                         gram_shift_product, gram_shift_product_direct, psd_solve,
+                         sym_eigvals)
 
 
 def random_psd(rng, n, rank=None):
@@ -61,6 +62,49 @@ def test_append_composition_long_run():
         ri.append(M[:j, j], M[j, j])
     direct = psd_solve(M, 1.0, np.eye(t))
     assert np.max(np.abs(ri.inv - direct)) < 1e-8
+
+
+def bordered_reference(inv, cross, diag, alpha):
+    """The bordered inverse by the unblocked formula, from scratch."""
+    n = inv.shape[0]
+    u = inv @ cross
+    s = diag + alpha - float(cross @ u)
+    out = np.empty((n + 1, n + 1))
+    out[:n, :n] = inv + np.outer(u, u) / s
+    out[:n, n] = -u / s
+    out[n, :n] = -u / s
+    out[n, n] = 1.0 / s
+    return out
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["computed", "supplied"])
+def test_append_is_bit_identical_to_unblocked_formula(supplied):
+    # past the first refresh, at orders whose update takes several row blocks
+    rng = np.random.default_rng(8)
+    n = REFRESH_EVERY + 100
+    assert n // (APPEND_BLOCK_BYTES // (8 * n)) >= 5
+    rows = rng.normal(size=(n, 6))
+    M = rows @ rows.T / 6.0
+    ri = RegularizedInverse(alpha=0.9)
+    for j in range(n):
+        cross, diag = M[:j, j], M[j, j]
+        if (j + 1) % REFRESH_EVERY == 0:
+            expected = psd_solve(M[: j + 1, : j + 1], 0.9, np.eye(j + 1))
+        else:
+            expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
+        ri.append(cross, diag, inv_cross=ri.apply(cross) if supplied else None)
+        assert np.array_equal(ri.inv, expected), f"order {j + 1}"
+    assert np.array_equal(ri.mat, M)
+
+
+def test_append_rejects_product_of_wrong_length():
+    ri = RegularizedInverse(alpha=1.0)
+    ri.append(np.zeros(0), 1.0)
+    ri.append(np.array([0.5]), 1.0)
+    for bad in (np.zeros(1), np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(ValueError, match="inv_cross has shape"):
+            ri.append(np.array([0.1, 0.2]), 1.0, inv_cross=bad)
+    assert ri.order == 2
 
 
 def test_periodic_refresh_runs():

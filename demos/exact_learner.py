@@ -1,59 +1,43 @@
 #!/usr/bin/env python3
 """Walkthrough: the exact second-order kernel learner on a smooth stream.
 
-Runs the learner round by round on a seeded synthetic regression stream,
-then compares its cumulative loss and measured regret against the
-first-order baseline and the offline comparator, and checks the
-curved-loss regret bound numerically.
+Runs the learner on a seeded synthetic regression stream, then compares
+its cumulative loss and measured regret against the first-order baseline
+and the offline comparator, and checks the curved-loss regret bound
+numerically.
 """
 
-import numpy as np
+from dataclasses import replace
+from tempfile import TemporaryDirectory
 
-from koco import (Kons, KonsConfig, best_comparator, curvature_profile,
-                  gaussian, generate_stream, gram, regret_bound, regret_report)
-from koco.harness import GdBaseline
-from koco.streams import SyntheticSpec
+from koco import gaussian
+from koco.harness import ExperimentConfig, run_experiment
 
 SEED = 7
-T = 400
-C = 1.0
-ALPHA = 1.0
+cfg = ExperimentConfig(learner="kons", kernel=gaussian(1.0), loss_family="squared",
+                       clip_c=1.0, alpha=1.0, horizon=400, noise_sd=0.1)
+kc = cfg.kons_config()
 
-spec = SyntheticSpec(generator="rkhs-target", input_dim=3, horizon=T,
-                     n_centers=8, noise_sd=0.1, clip_c=C)
-kernel = gaussian(1.0)
-events = generate_stream(spec, SEED, kernel=kernel)
-prof = curvature_profile("squared", C)
+print(f"stream: {cfg.horizon} rounds, squared loss, targets in [-{cfg.clip_c}, {cfg.clip_c}]")
+print(f"curvature sigma = {kc.sigma}, derivative bound = {kc.lipschitz}")
 
-print(f"stream: {T} rounds, squared loss, targets in [-{C}, {C}]")
-print(f"curvature sigma = {prof.sigma}, derivative bound = {prof.lipschitz}")
+# --- online learners: the same stream, the baseline without a comparator ----
 
-# --- online learners --------------------------------------------------------
+with TemporaryDirectory() as out:
+    _, newton = run_experiment(cfg, SEED, out)
+    _, baseline = run_experiment(replace(cfg, learner="gd-baseline", comparator=False),
+                                 SEED, out)
 
-newton = Kons(kernel, KonsConfig(clip_c=C, alpha=ALPHA, sigma=prof.sigma,
-                                 lipschitz=prof.lipschitz))
-baseline = GdBaseline(kernel, clip_c=C, lipschitz=prof.lipschitz)
-for ev in events:
-    newton.step(ev.point, ev)
-    baseline.step(ev.point, ev)
-
-loss_newton = sum(r.loss for r in newton.records)
-loss_gd = sum(r.loss for r in baseline.records)
-print(f"\ncumulative loss: second-order {loss_newton:.3f}   "
-      f"first-order baseline {loss_gd:.3f}")
+print(f"\ncumulative loss: second-order {newton.cumulative_loss:.3f}   "
+      f"first-order baseline {baseline.cumulative_loss:.3f}")
 
 # --- regret against the best fixed clipped function -------------------------
 
-pts = np.vstack([ev.point for ev in events])
-K = gram(kernel, pts)
-comp = best_comparator(K, events, C, seed=SEED)
-rep = regret_report(newton.records, comp, prof.sigma)
-print(f"comparator loss {comp.total_loss:.3f}  ->  regret R_T = {rep.r_t:.3f}")
-print(f"decomposition: gradient term R_G = {rep.r_g:.3f}, "
-      f"stepsize-excess term R_D = {rep.r_d:.3e}")
+print(f"comparator loss {newton.comparator_loss:.3f}  ->  regret R_T = {newton.r_t:.3f}")
+print(f"decomposition: gradient term R_G = {newton.r_g:.3f}, "
+      f"stepsize-excess term R_D = {newton.r_d:.3e}")
 
 # --- the curved-loss bound ---------------------------------------------------
 
-bound = regret_bound(K, comp.norm_sq, ALPHA, prof)
-print(f"\nregret bound {bound:.1f}  >=  measured {rep.r_t:.3f}: "
-      f"{'holds' if rep.r_t <= bound else 'VIOLATED'}")
+print(f"\nregret bound {newton.bound_value:.1f}  >=  measured {newton.r_t:.3f}: "
+      f"{'holds' if newton.bound_ok else 'VIOLATED'}")

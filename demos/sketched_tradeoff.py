@@ -6,43 +6,31 @@ floors on one stream, reporting cumulative loss, preconditioner support,
 and mean per-round time over the final quarter of the stream.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from koco import Kons, KonsConfig, SketchedKons, curvature_profile, gaussian, generate_stream
-from koco.kors import KorsConfig, required_budget
-from koco.skons import SkonsConfig, sandwich_audit
-from koco.streams import SyntheticSpec
+from koco import gaussian
+from koco.harness import ExperimentConfig, run_stream
+from koco.skons import sandwich_audit
 
 SEED = 11
-T = 1200
-C = 1.0
-ALPHA = 1.0
-
-spec = SyntheticSpec(generator="rkhs-target", input_dim=2, horizon=T,
-                     n_centers=4, noise_sd=0.05, clip_c=C, cluster_count=1)
-kernel = gaussian(1.0)
-events = generate_stream(spec, SEED, kernel=kernel)
-prof = curvature_profile("squared", C)
-kc = KonsConfig(clip_c=C, alpha=ALPHA, sigma=prof.sigma, lipschitz=prof.lipschitz)
-beta = required_budget(T, 0.1, 0.5)
+cfg = ExperimentConfig(learner="kons", kernel=gaussian(1.0), loss_family="squared",
+                       clip_c=1.0, alpha=1.0, horizon=1200, input_dim=2, n_centers=4,
+                       noise_sd=0.05, cluster_count=1)
+T = cfg.horizon
+events = cfg.events(SEED)
 
 def tail_us(records):
     return float(np.mean([r.elapsed_us for r in records[3 * T // 4:]]))
 
-exact = Kons(kernel, kc)
-for ev in events:
-    exact.step(ev.point, ev)
+exact = run_stream(cfg, SEED, events)
 print(f"{'learner':<14} {'cum. loss':>10} {'support':>8} {'tail us/step':>13} {'sketch range':>16}")
 print(f"{'exact':<14} {sum(r.loss for r in exact.records):>10.3f} "
       f"{exact.t:>8} {tail_us(exact.records):>13.0f} {'1.000 - 1.000':>16}")
 
 for gamma in (0.0, 0.1, 0.3):
-    cfg = SkonsConfig(kons=kc, kors=KorsConfig(alpha=ALPHA, epsilon=0.5,
-                                               beta=beta, delta=0.1,
-                                               rng_seed=SEED), gamma=gamma)
-    sk = SketchedKons(kernel, cfg)
-    for ev in events:
-        sk.step(ev.point, ev)
+    sk = run_stream(replace(cfg, learner="skons", gamma=gamma), SEED, events)
     lo, hi = sandwich_audit(sk)
     print(f"{f'floor {gamma:.1f}':<14} {sum(r.loss for r in sk.records):>10.3f} "
           f"{len(sk.selected):>8} {tail_us(sk.records):>13.0f} "

@@ -10,7 +10,7 @@ from .errors import (ConfigError, DimensionMismatch, KocoError, NoConvergence,
                      NoProgress, NotPositiveDefinite, SchurNotPositive,
                      StreamParseError, TargetOutOfRange, ZeroNormPoint)
 from .kernels import KernelSpec, cross_vector, eval_kernel, gaussian, gram, linear, polynomial
-from .kons import Kons, KonsConfig, RegretReport, StepRecord, eta_at, regret_report
+from .kons import Kons, KonsConfig, StepRecord, eta_at
 from .kors import Dictionary, KorsConfig, KorsSampler, dict_size_bound, required_budget
 from .linalg import RegularizedInverse, gram_shift_product, psd_solve, sym_eigvals
 from .losses import (CurvatureProfile, LossEvent, clip_to_interval, curvature_profile,

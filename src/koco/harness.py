@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels, losses, oracle, streams
 from .errors import ConfigError, KocoError, StreamParseError
 from .kernels import KernelSpec, cross_vector
-from .kons import Kons, KonsConfig, StepRecord, regret_report
+from .kons import Kons, KonsConfig, StepRecord
 from .kors import KorsConfig, required_budget
 from .linalg import grown
 from .losses import LossEvent, clip_to_interval, curvature_profile, loss_derivative, loss_value
@@ -303,6 +303,19 @@ def write_trace(path, records: list[StepRecord]) -> None:
                              repr(float(r.rg_increment)), int(round(r.elapsed_us))])
 
 
+def run_stream(cfg: ExperimentConfig, seed: int, events: list[LossEvent]):
+    """`build_learner`'s learner for cfg at seed, stepped through events;
+    a KocoError raised by a round is prefixed with that round."""
+    learner = build_learner(cfg, seed)
+    for t, ev in enumerate(events, start=1):
+        try:
+            learner.step(ev.point, ev)
+        except KocoError as exc:
+            exc.args = (f"round {t}: {exc}",)
+            raise
+    return learner
+
+
 def run_experiment(cfg: ExperimentConfig, seed: int,
                    out_dir=None) -> tuple[Path, RunSummary]:
     """Run one seed of the configured experiment.
@@ -314,14 +327,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int,
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     events = cfg.events(seed)
-    learner = build_learner(cfg, seed)
-    for t, ev in enumerate(events, start=1):
-        try:
-            learner.step(ev.point, ev)
-        except KocoError as exc:
-            exc.args = (f"round {t}: {exc}",)
-            raise
-    records = learner.records
+    learner = run_stream(cfg, seed, events)
 
     comparator = K = None
     if cfg.comparator:
@@ -330,7 +336,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int,
 
     summary = summarize_run(cfg, seed, learner, comparator, K)
     trace_path = out / f"trace_{cfg.learner}_{seed}.csv"
-    write_trace(trace_path, records)
+    write_trace(trace_path, learner.records)
     (out / f"summary_{cfg.learner}_{seed}.txt").write_text(
         summary.as_text(), encoding="utf-8")
     return trace_path, summary
@@ -339,8 +345,15 @@ def run_experiment(cfg: ExperimentConfig, seed: int,
 def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
                   K: np.ndarray | None) -> RunSummary:
     """Summary of a finished run; K, the gram of its stream, is needed with
-    a comparator. The regret bound covers fixed-sigma `kons` (floor 1) and
-    `skons` (floor max(gamma, beta * min prefix leverage)), nothing else."""
+    a comparator.
+
+    The regret R_T is the cumulative loss less the comparator's, and the
+    two terms that Theorem 1 bounds it by are R_G, the sum of the records'
+    gradient-term increments, and R_D = sum_t (eta_t - sigma) gdot_t^2
+    (yhat_t - u_t)^2, with u_t the comparator's prediction and sigma the
+    loss family's curvature constant on [-C, C]. The regret bound covers
+    fixed-sigma `kons` (floor 1) and `skons` (floor max(gamma, beta * min
+    prefix leverage)), nothing else."""
     records = learner.records
     prof = curvature_profile(cfg.loss_family, cfg.clip_c)
     cumulative = float(sum(r.loss for r in records))
@@ -349,8 +362,13 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
     comparator_loss = r_t = r_d = None
     bound_value = bound_ok = None
     if comparator is not None:
-        rep = regret_report(records, comparator, prof.sigma)
-        comparator_loss, r_t, r_d = comparator.total_loss, rep.r_t, rep.r_d
+        if len(records) != len(comparator.preds):
+            raise ValueError("trace and comparator cover different horizons")
+        comparator_loss = comparator.total_loss
+        r_t = cumulative - comparator.total_loss
+        r_d = float(sum((r.eta - prof.sigma) * r.gdot**2
+                        * (r.yhat - comparator.preds[i]) ** 2
+                        for i, r in enumerate(records)))
         floor = 0.0  # no bound applies
         if cfg.eta_mode == "fixed-sigma" and cfg.learner == "kons":
             floor = 1.0

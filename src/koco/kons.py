@@ -91,19 +91,18 @@ class NewtonCore:
     into one new coefficient, and offers the round's rescaled kernel
     column to the subclass's `_select`. That hook returns the record's
     (tau, p_accept, accepted) and calls `_admit` for a column that
-    enters the preconditioner. The preconditioner covers the rounds in
-    `selected`; kernel rows, b and the cached rescaled-gram @ b cover
-    every round.
+    enters the preconditioner. The preconditioner `precond` covers the
+    rounds in `selected`; kernel rows, b and the cached rescaled-gram @ b
+    cover every round.
     """
 
     def __init__(self, kernel: KernelSpec, cfg, kons_cfg: KonsConfig):
         self.kernel = kernel
         self.cfg = cfg
         self.t = 0
-        self.rg_total = 0.0
         self.records: list[StepRecord] = []
         self._kcfg = kons_cfg
-        self._precond = RegularizedInverse(kons_cfg.alpha)
+        self.precond = RegularizedInverse(kons_cfg.alpha)
         self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first round
         self._d = np.zeros(16)       # gdot_i * sqrt(eta_i)
         self._b = np.zeros(16)       # dual coefficients
@@ -165,7 +164,7 @@ class NewtonCore:
         if self.t == 0:
             return 0.0, 0.0
         kd = k * self.d_scale
-        corr = self._cols(kd) @ self._precond.apply(self._cols(self.kbar_b))
+        corr = self._cols(kd) @ self.precond.apply(self._cols(self.kbar_b))
         ybar = (float(kd @ self.b) - float(corr)) / self._kcfg.alpha
         return ybar, clip_to_interval(ybar, self._kcfg.clip_c)
 
@@ -192,7 +191,7 @@ class NewtonCore:
         kc = k * self.d_scale * d_t
         kdiag = d_t * d_t
         w = self._cols(kc)
-        u = self._precond.apply(w)
+        u = self.precond.apply(w)
         q_raw = (kdiag - float(w @ u)) / cfg.alpha
         q = max(q_raw, Q_FLOOR)
         b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / np.sqrt(eta)
@@ -214,7 +213,6 @@ class NewtonCore:
         # q is the leverage against the preconditioner otherwise
         q_pos = max(q_raw, 0.0)
         rg_inc = (q_pos / (1.0 + q_pos) if accepted else q_pos) / eta
-        self.rg_total += rg_inc
 
         rec = StepRecord(t=t_new, ybar=ybar, yhat=yhat,
                          loss=loss_value(ev, yhat), gdot=gdot, eta=eta,
@@ -232,7 +230,7 @@ class NewtonCore:
         raise NotImplementedError
 
     def _admit(self, w: np.ndarray, u: np.ndarray, kdiag: float) -> None:
-        self._precond.append(w, kdiag, inv_cross=u)
+        self.precond.append(w, kdiag, inv_cross=u)
         self._sel[self._n_sel] = self.t
         self._n_sel += 1
 
@@ -247,10 +245,6 @@ class Kons(NewtonCore):
     def __init__(self, kernel: KernelSpec, cfg: KonsConfig):
         super().__init__(kernel, cfg, cfg)
 
-    @property
-    def reg_inv(self) -> RegularizedInverse:
-        return self._precond
-
     def _select(self, x, d_t, w, u, kdiag, q_raw):
         # a singular append raises SchurNotPositive and aborts the round
         self._admit(w, u, kdiag)
@@ -263,32 +257,4 @@ class Kons(NewtonCore):
         """Max-abs deviation of the cached gram@b vector from scratch."""
         if self.t == 0:
             return 0.0
-        return float(np.max(np.abs(self.reg_inv.mat @ self.b - self.kbar_b)))
-
-
-# ---------------------------------------------------------------------------
-# regret accounting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegretReport:
-    r_t: float  # cumulative loss minus comparator loss
-    r_g: float  # gradient (leverage) term
-    r_d: float  # stepsize-excess term
-
-
-def regret_report(records: list[StepRecord], comparator,
-                  sigma_t: float) -> RegretReport:
-    """Measured regret decomposition of a finished run.
-
-    `comparator` supplies the per-point predictions and total loss of
-    the best fixed clipped function; `sigma_t` is the curvature
-    constant of the loss family on the run's interval.
-    """
-    if len(records) != len(comparator.preds):
-        raise ValueError("trace and comparator cover different horizons")
-    r_t = float(sum(r.loss for r in records) - comparator.total_loss)
-    r_g = float(sum(r.rg_increment for r in records))
-    r_d = float(sum((r.eta - sigma_t) * r.gdot**2 * (r.yhat - comparator.preds[i]) ** 2
-                    for i, r in enumerate(records)))
-    return RegretReport(r_t=r_t, r_g=r_g, r_d=r_d)
+        return float(np.max(np.abs(self.precond.mat @ self.b - self.kbar_b)))

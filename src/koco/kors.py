@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchurNotPositive
 from .kernels import KernelSpec, cross_vector
 from .linalg import SCHUR_RTOL, RegularizedInverse, grown
 from .rng import bernoulli, named_rng
@@ -148,15 +147,17 @@ class KorsSampler:
         ks = cross_vector(self.kernel, self.dict.points, x)
         return ks * self.dict.d_scale * d_t * self.dict.sweights
 
-    def step(self, x, d_t: float = 1.0, index: int | None = None) -> KorsStep:
+    def step(self, x, d_t: float = 1.0) -> KorsStep:
         """Score one stream point, flip its coin, and admit it on success.
 
         The score (1+eps)(1 - alpha/s) over-estimates the leverage of x
         against dictionary-plus-self; s is the Schur complement of the
         self column appended at weight one, so the bordered block is
-        never materialized. The coin has probability p = min(beta *
-        score, 1), and an admitted point enters with weight 1/p. `index`
-        (default: the count of points scored) is its recorded round.
+        never materialized. A singular s (at or below SCHUR_RTOL·(k(x,x)
+        + alpha): x is already spanned by the weighted members) scores 0.
+        The coin has probability p = min(beta * score, 1), and an
+        admitted point enters with weight 1/p, recorded at its round
+        (the count of points scored).
         """
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if not np.isfinite(x).all():
@@ -165,18 +166,17 @@ class KorsSampler:
         cross = self._member_column(x, d_t)
         kdiag = d_t * d_t  # k(x, x) = 1 for every kernel in koco.kernels
         s = self.dict.sub_inv.schur_complement(cross, kdiag)
-        if s <= SCHUR_RTOL * (kdiag + self.cfg.alpha):
-            raise SchurNotPositive(
-                f"temporary member made the selection matrix singular (s={s:.3e})")
-        tau = float(max((1.0 + self.cfg.epsilon) * (1.0 - self.cfg.alpha / s), 0.0))
+        tau = 0.0
+        if s > SCHUR_RTOL * (kdiag + self.cfg.alpha):
+            tau = float(max((1.0 + self.cfg.epsilon) * (1.0 - self.cfg.alpha / s), 0.0))
         p = min(self.cfg.beta * tau, 1.0)
-        z = bernoulli(self._rng, p)
+        z = bernoulli(self._rng, p)  # drawn at p = 0 too: one draw per point
         if z:
             w = 1.0 / p
             # fold the admission weight into the appended row/column
             # (no inv_cross: inv·(cross·√w) rounds unlike √w·(inv·cross))
             self.dict.sub_inv.append(cross * np.sqrt(w), kdiag * w)
-            self.dict.add(x, d_t, self._rounds if index is None else index, p)
+            self.dict.add(x, d_t, self._rounds, p)
         return KorsStep(tau_tilde=tau, p_tilde=p, accepted=z, size=self.size)
 
     def selection_sq_weights(self, horizon: int) -> np.ndarray:

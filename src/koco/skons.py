@@ -32,7 +32,6 @@ from .errors import SchurNotPositive
 from .kernels import KernelSpec, gram
 from .kons import ETA_FIXED_SIGMA, KonsConfig, NewtonCore
 from .kors import KorsConfig, KorsSampler
-from .linalg import RegularizedInverse
 from .rng import bernoulli, named_rng
 
 
@@ -64,13 +63,9 @@ class SketchedKons(NewtonCore):
         self.rejected_appends = 0       # accepted coins demoted by a singular append
         self._coin_rng = named_rng(cfg.kors.rng_seed, "sketch-coins")
 
-    @property
-    def e_inv(self) -> RegularizedInverse:
-        return self._precond
-
     def _select(self, x, d_t, w, u, kdiag, q_raw):
         # independent sampler: only its leverage estimate crosses over
-        kres = self.kors.step(x, d_t, index=self.t + 1)
+        kres = self.kors.step(x, d_t)
         p = max(min(self.cfg.kors.beta * kres.tau_tilde, 1.0), self.cfg.gamma)
         accepted = bernoulli(self._coin_rng, p)
         if accepted:

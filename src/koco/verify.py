@@ -41,14 +41,6 @@ _BASE = harness.ExperimentConfig(
     alpha=1.0, horizon=1000, noise_sd=0.1)
 
 
-def _run(cfg: harness.ExperimentConfig, seed: int, events):
-    """`build_learner`'s learner for cfg at seed, stepped through events."""
-    learner = harness.build_learner(cfg, seed)
-    for ev in events:
-        learner.step(ev.point, ev)
-    return learner
-
-
 # ===========================================================================
 # acceptance criteria
 # ===========================================================================
@@ -68,7 +60,7 @@ def criterion_1_primal_equivalence():
     worst = 0.0
     for mode in ("fixed-sigma", "inverse-sqrt"):
         cfg = replace(_BASE, kernel=linear(), clip_c=C, horizon=T, eta_mode=mode)
-        learner = _run(cfg, 0, events)
+        learner = harness.run_stream(cfg, 0, events)
         mine = np.array([r.yhat for r in learner.records])
         ref = oracle.primal_ons(X, events, cfg.kons_config())
         err = float(np.max(np.abs(mine - ref) / np.maximum(1.0, np.abs(ref))))
@@ -83,8 +75,8 @@ def criterion_2_sketch_degeneracy():
     worst = 0.0
     for seed in range(5):
         events = cfg.events(seed)
-        exact = _run(cfg, seed, events)
-        sketch = _run(replace(cfg, learner="skons"), seed, events)
+        exact = harness.run_stream(cfg, seed, events)
+        sketch = harness.run_stream(replace(cfg, learner="skons"), seed, events)
         err = float(np.max(np.abs(
             np.array([r.yhat for r in exact.records])
             - np.array([r.yhat for r in sketch.records]))))
@@ -125,7 +117,7 @@ def criterion_3_sampler_guarantees():
         sandwich = True
         snapshots = {}
         for t, ev in enumerate(events, start=1):
-            res = sampler.step(ev.point, 1.0, index=t)
+            res = sampler.step(ev.point, 1.0)
             tau = exact_taus[t - 1]
             if not (tau - 1e-9 <= res.tau_tilde <= rho * tau + 1e-9):
                 bracket = False
@@ -175,7 +167,7 @@ def _regret_summary(cfg: harness.ExperimentConfig, seed: int) -> harness.RunSumm
     key = (seed, cfg.horizon)
     if key not in _COMPARATOR_CACHE:
         _COMPARATOR_CACHE[key] = oracle.best_comparator(K, events, cfg.clip_c, seed=seed)
-    learner = _run(cfg, seed, events)
+    learner = harness.run_stream(cfg, seed, events)
     return harness.summarize_run(cfg, seed, learner, _COMPARATOR_CACHE[key], K)
 
 
@@ -249,7 +241,7 @@ def criterion_7_alternating_adversary():
     cfg = replace(_BASE, generator=streams.ALTERNATING_ADVERSARY, input_dim=2,
                   horizon=2000)
     prof = curvature_profile(cfg.loss_family, cfg.clip_c)
-    learner = _run(cfg, 0, cfg.events(0))
+    learner = harness.run_stream(cfg, 0, cfg.events(0))
     eta_dev = max(abs(r.eta - prof.sigma) for r in learner.records)
     rg_ok, rg_detail = rank_one_gradient_cap(learner.records, prof.sigma,
                                              prof.lipschitz, cfg.alpha)
@@ -299,8 +291,8 @@ def criterion_9_speedup():
     cfg = replace(_BASE, horizon=2000, input_dim=2, noise_sd=0.05, cluster_count=1)
     T = cfg.horizon
     events = cfg.events(99)
-    exact = _run(cfg, 99, events)
-    sketch = _run(replace(cfg, learner="skons"), 99, events)
+    exact = harness.run_stream(cfg, 99, events)
+    sketch = harness.run_stream(replace(cfg, learner="skons"), 99, events)
     tail = slice(T - 500, T)
     mean_exact = float(np.mean([r.elapsed_us for r in exact.records[tail]]))
     mean_sketch = float(np.mean([r.elapsed_us for r in sketch.records[tail]]))
@@ -364,12 +356,13 @@ def inv_loss_grids():
 
 def inv_rg_identity():
     cfg = replace(_BASE, horizon=150)
-    learner = _run(cfg, 0, cfg.events(31))
+    learner = harness.run_stream(cfg, 0, cfg.events(31))
     D = learner.d_scale
     Kbar = gram(cfg.kernel, learner.points) * np.outer(D, D)
     taus = oracle.prefix_rls(Kbar, cfg.alpha)
     etas = np.array([r.eta for r in learner.records])
-    gap = abs(learner.rg_total - float(np.sum(taus / etas)))
+    r_g = float(sum(r.rg_increment for r in learner.records))
+    gap = abs(r_g - float(np.sum(taus / etas)))
     d_onl, logdet, upper = oracle.logdet_chain(Kbar, cfg.alpha)
     chain = min(logdet - d_onl, upper - logdet)
     ok = gap <= 1e-7 and chain >= -1e-7
@@ -378,7 +371,7 @@ def inv_rg_identity():
 
 def inv_clipping():
     cfg = replace(_BASE, horizon=120, noise_sd=0.5, clip_c=0.6)
-    learner = _run(cfg, 0, cfg.events(32))
+    learner = harness.run_stream(cfg, 0, cfg.events(32))
     worst = max(abs(r.yhat) for r in learner.records)
     return worst <= 0.6, f"max |clipped prediction| {worst} (C=0.6)"
 
@@ -402,7 +395,7 @@ _SKETCH_AUDIT = replace(_BASE, learner="skons", horizon=150, beta=30.0, gamma=0.
 
 def inv_sketch_domination():
     cfg = _SKETCH_AUDIT
-    learner = _run(cfg, 2, cfg.events(34))
+    learner = harness.run_stream(cfg, 2, cfg.events(34))
     lo, hi = sandwich_audit(learner)
     p_min = min(r.p_accept for r in learner.records)
     floor = (1.0 - cfg.epsilon) * p_min
@@ -415,7 +408,7 @@ def inv_sketch_rd_nonpositive():
     cfg = replace(_BASE, learner="skons", generator=streams.ALTERNATING_ADVERSARY,
                   input_dim=2, horizon=500, beta=30.0, gamma=0.2)
     prof = curvature_profile(cfg.loss_family, cfg.clip_c)
-    learner = _run(cfg, 7, cfg.events(0))
+    learner = harness.run_stream(cfg, 7, cfg.events(0))
     # every round contributes (eta*z - sigma)*gdot^2 times a nonnegative
     # square; with eta = sigma the coefficient never exceeds zero, which
     # makes the whole stepsize-excess term nonpositive for any comparator
@@ -433,7 +426,7 @@ def inv_sketch_lower_floor():
     events = cfg.events(35)
     ok = 0
     for seed in range(n_seeds):
-        learner = _run(cfg, seed, events)
+        learner = harness.run_stream(cfg, seed, events)
         lo, _ = sandwich_audit(learner)
         p_min = min(r.p_accept for r in learner.records)
         ok += lo >= (1.0 - eps) * p_min - 1e-9

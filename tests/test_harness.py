@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from koco import oracle, streams
-from koco.errors import ConfigError, StreamParseError
-from koco.harness import (TRACE_COLUMNS, ExperimentConfig, GdBaseline, build_learner,
-                          parse_config_text, run_experiment)
+from koco.errors import ConfigError, StreamParseError, ZeroNormPoint
+from koco.harness import (TRACE_COLUMNS, ExperimentConfig, GdBaseline, parse_config_text,
+                          run_experiment, run_stream, summarize_run)
 from koco.kernels import gaussian, gram
 from koco.losses import LossEvent
+from koco.oracle import ComparatorResult
 
 BASE_CONFIG = """
 # minimal experiment
@@ -195,10 +196,7 @@ def test_bound_value_is_the_papers_bound(tmp_path, learner):
     d_eff = oracle.effective_dimension(K, alpha / (sigma * L * L))
     floor = 1.0
     if learner == "skons":
-        sketch = build_learner(cfg, 0)
-        for ev in events:
-            sketch.step(ev.point, ev)
-        D = sketch.d_scale
+        D = run_stream(cfg, 0, events).d_scale
         tau_min = oracle.prefix_rls(K * np.outer(D, D), alpha).min()
         floor = max(cfg.gamma, cfg.kors_config(0).beta * tau_min)
     expected = alpha * comparator.norm_sq \
@@ -228,7 +226,7 @@ def test_summary_reports_no_rejected_appends_without_a_sketch(tmp_path, learner)
 def test_summary_reports_rejected_appends(tmp_path):
     # the adversary replays one point: at alpha 1e-13 every sketch append
     # after the first is singular, and at beta 1e-3 the sampler admits
-    # nothing, so its own singularity check never fires
+    # nothing
     text = (BASE_CONFIG.replace("learner = kons", "learner = skons")
             .replace("generator = rkhs-target", "generator = sixsix-adversary")
             .replace("alpha = 1.0", "alpha = 1e-13")
@@ -237,6 +235,49 @@ def test_summary_reports_rejected_appends(tmp_path):
     assert summary.final_dict_size == 1 and summary.final_sampler_size == 0
     assert summary.rejected_appends == 39
     assert "\nrejected_appends=39\n" in (tmp_path / "summary_skons_0.txt").read_text()
+
+
+def test_singular_sampler_score_demotes_the_round(tmp_path):
+    # at beta 0.1 and seed 0 the sampler admits the first point; every
+    # replay of it then has a singular Schur complement and scores 0, and
+    # the gamma floor still accepts the round, whose append is singular
+    text = (BASE_CONFIG.replace("learner = kons", "learner = skons")
+            .replace("generator = rkhs-target", "generator = sixsix-adversary")
+            .replace("alpha = 1.0", "alpha = 1e-13")
+            .replace("horizon = 40", "horizon = 20")
+            + "gamma = 1.0\nbeta = 0.1\ncomparator = false\n")
+    trace_path, summary = run_experiment(parse_config_text(text), 0, tmp_path)
+    assert summary.horizon == 20
+    assert summary.final_dict_size == 1 and summary.final_sampler_size == 1
+    assert summary.rejected_appends == 19
+    _, rows = read_trace(trace_path)
+    tau = TRACE_COLUMNS.index("tau_tilde")
+    assert [float(row[tau]) for row in rows[1:]] == [0.0] * 19
+
+
+def test_summarize_run_regret_zero_against_self():
+    # against a comparator that plays the learner's own predictions, the
+    # regret and the stepsize-excess term both vanish
+    cfg = parse_config_text(BASE_CONFIG)
+    events = cfg.events(0)
+    learner = run_stream(cfg, 0, events)
+    preds = np.array([r.yhat for r in learner.records])
+    comp = ComparatorResult(coeffs=np.zeros(40), preds=preds,
+                            total_loss=float(sum(r.loss for r in learner.records)),
+                            norm_sq=0.0)
+    K = gram(cfg.kernel, np.vstack([ev.point for ev in events]))
+    summary = summarize_run(cfg, 0, learner, comp, K)
+    assert summary.r_t == pytest.approx(0.0, abs=1e-12)
+    assert summary.r_d == pytest.approx(0.0, abs=1e-12)
+
+
+def test_run_stream_names_the_round_of_a_kernel_error():
+    cfg = parse_config_text(BASE_CONFIG.replace("kernel = gaussian",
+                                                "kernel = linear-normalized"))
+    events = cfg.events(0)
+    events[2] = LossEvent(np.zeros(2), "squared", events[2].target)
+    with pytest.raises(ZeroNormPoint, match="^round 3: linear-normalized kernel"):
+        run_stream(cfg, 0, events)
 
 
 def test_csv_run_reads_its_stream_once(tmp_path, monkeypatch):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from koco.kernels import gaussian, gram, linear
-from koco.kons import ETA_FIXED_SIGMA, ETA_INVERSE_SQRT, Kons, KonsConfig, eta_at, regret_report
+from koco.kons import ETA_FIXED_SIGMA, ETA_INVERSE_SQRT, Kons, KonsConfig, eta_at
 from koco.losses import LossEvent, curvature_profile
-from koco.oracle import ComparatorResult, prefix_rls, primal_ons
+from koco.oracle import prefix_rls, primal_ons
 
 
 def squared_cfg(C=1.0, alpha=1.0, mode=ETA_FIXED_SIGMA):
@@ -155,9 +155,9 @@ def test_state_sizes_agree():
     assert learner.points.shape == (40, 5)
     assert learner.d_scale.shape == (40,)
     assert learner.b.shape == (40,)
-    assert learner.reg_inv.order == 40
+    assert learner.precond.order == 40
     assert learner.audit_cache() < 1e-8
-    assert learner.reg_inv.audit() < 1e-8
+    assert learner.precond.audit() < 1e-8
 
 
 def test_eta_schedule_reaches_half_at_round_four():
@@ -179,17 +179,5 @@ def test_rg_identity_against_oracle():
     Kbar = gram(gaussian(1.0), learner.points) * np.outer(D, D)
     taus = prefix_rls(Kbar, cfg.alpha)
     etas = np.array([r.eta for r in learner.records])
-    assert learner.rg_total == pytest.approx(float(np.sum(taus / etas)), abs=1e-7)
-
-
-def test_regret_report_zero_against_self():
-    _, events = unit_feature_stream(7, 50)
-    cfg = squared_cfg()
-    learner = Kons(gaussian(1.0), cfg)
-    preds = run(learner, events)
-    losses_ = [r.loss for r in learner.records]
-    comp = ComparatorResult(coeffs=np.zeros(50), preds=preds,
-                            total_loss=float(sum(losses_)), norm_sq=0.0)
-    rep = regret_report(learner.records, comp, cfg.sigma)
-    assert rep.r_t == pytest.approx(0.0, abs=1e-12)
-    assert rep.r_d == pytest.approx(0.0, abs=1e-12)
+    r_g = sum(r.rg_increment for r in learner.records)
+    assert r_g == pytest.approx(float(np.sum(taus / etas)), abs=1e-7)

@@ -100,6 +100,20 @@ def test_deterministic_acceptance_branches():
     assert res.p_tilde == 0.0 and res.accepted == 0 and s2.size == 0
 
 
+def test_singular_score_is_zero_and_never_admitted():
+    # one member at weight one already spans the replayed point: at alpha
+    # 1e-13 its self-bordered Schur complement is below SCHUR_RTOL, so it
+    # scores 0, and its coin is drawn at p = 0
+    s = KorsSampler(gaussian(1.0), make_cfg(alpha=1e-13, beta=1e9))
+    assert s.step(np.ones(2)).accepted == 1
+    res = s.step(np.ones(2))
+    assert res.tau_tilde == 0.0
+    assert res.p_tilde == 0.0 and res.accepted == 0 and res.size == 1
+    coins = named_rng(0, "kors-coins")
+    coins.random(2)
+    assert s._rng.random() == coins.random()  # one draw per point
+
+
 def test_acceptance_frequency_concentrates():
     rng = named_rng(42, "mc")
     hits = sum(bernoulli(rng, 0.3) for _ in range(10000))

@@ -150,7 +150,7 @@ def test_support_never_exceeds_acceptances():
     events = stream(8, 150)
     sketch = SketchedKons(gaussian(1.0), sketch_cfg(0.2, seed=2))
     run(sketch, events)
-    assert sketch.e_inv.order == len(sketch.selected)
+    assert sketch.precond.order == len(sketch.selected)
     assert len(sketch.selected) <= sum(r.accepted for r in sketch.records)
 
 

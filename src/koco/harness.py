@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels, losses, oracle, streams
 from .errors import ConfigError, KocoError, StreamParseError
-from .kernels import KernelSpec, cross_vector
+from .kernels import KernelSpec, check_point, cross_vector
 from .kons import Kons, KonsConfig, StepRecord
 from .kors import KorsConfig, required_budget
 from .linalg import grown
@@ -215,6 +215,7 @@ class GdBaseline:
 
     def predict(self, x) -> tuple[float, float]:
         if self.t == 0:
+            check_point(self.kernel, x)  # fails in its own round, as later points do
             return 0.0, 0.0
         k = cross_vector(self.kernel, self._pts[: self.t], x)
         ybar = float(k @ self._coef[: self.t])
@@ -262,6 +263,7 @@ class RunSummary:
     final_dict_size: int
     final_sampler_size: int
     rejected_appends: int  # sketch appends demoted by a singular Schur complement
+    refreshes: int         # inverse rebuilds, learner plus sampler (per REFRESH_EVERY appends)
     mean_step_us: float
     max_step_us: float
     bound_value: float | None = None
@@ -388,6 +390,7 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
         final_dict_size=records[-1].dict_size if records else 0,
         final_sampler_size=sampler_size,
         rejected_appends=getattr(learner, "rejected_appends", 0),
+        refreshes=getattr(learner, "refreshes", 0),
         mean_step_us=float(times.mean()) if len(times) else 0.0,
         max_step_us=float(times.max()) if len(times) else 0.0,
         bound_value=bound_value, bound_ok=bound_ok)

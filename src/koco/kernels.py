@@ -116,6 +116,14 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     return ((H @ x) + spec.offset) ** spec.degree / np.sqrt(self_p * px)
 
 
+def check_point(spec: KernelSpec, x) -> None:
+    """Raise for a finite point x what `cross_vector` raises for it against
+    itself: ZeroNormPoint for a zero point of a cosine-normalized family
+    (a gaussian takes every finite point)."""
+    if spec.family != GAUSSIAN:
+        cross_vector(spec, x, x)
+
+
 def gram(spec: KernelSpec, points) -> np.ndarray:
     """Full kernel matrix of the point set; unit diagonal, PSD up to roundoff."""
     P = _stack(points)

@@ -21,7 +21,7 @@ import numpy as np
 
 # eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
 # stays because perfbench's tracer hooks its kernels.diag layer on it
-from .kernels import KernelSpec, cross_vector, eval_kernel  # noqa: F401
+from .kernels import KernelSpec, check_point, cross_vector, eval_kernel  # noqa: F401
 from .linalg import RegularizedInverse, grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
 
@@ -137,6 +137,11 @@ class NewtonCore:
         return self._kbar_b[: self.t]
 
     @property
+    def refreshes(self) -> int:
+        """Rebuilds of the preconditioner from its tracked matrix so far."""
+        return self.precond.refreshes
+
+    @property
     def selected(self) -> np.ndarray:
         """0-based rounds whose column is in the preconditioner."""
         return self._sel[: self._n_sel]
@@ -157,6 +162,7 @@ class NewtonCore:
 
     def _cross(self, x) -> np.ndarray:
         if self.t == 0:
+            check_point(self.kernel, x)  # fails in its own round, as later points do
             return np.zeros(0)
         return cross_vector(self.kernel, self.points, x)
 

@@ -157,7 +157,8 @@ class KorsSampler:
         + alpha): x is already spanned by the weighted members) scores 0.
         The coin has probability p = min(beta * score, 1), and an
         admitted point enters with weight 1/p, recorded at its round
-        (the count of points scored).
+        (the count of points scored); its append reuses the score's
+        product inv·cross.
         """
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if not np.isfinite(x).all():
@@ -165,7 +166,7 @@ class KorsSampler:
         self._rounds += 1
         cross = self._member_column(x, d_t)
         kdiag = d_t * d_t  # k(x, x) = 1 for every kernel in koco.kernels
-        s = self.dict.sub_inv.schur_complement(cross, kdiag)
+        s, u = self.dict.sub_inv.schur_complement(cross, kdiag)
         tau = 0.0
         if s > SCHUR_RTOL * (kdiag + self.cfg.alpha):
             tau = float(max((1.0 + self.cfg.epsilon) * (1.0 - self.cfg.alpha / s), 0.0))
@@ -173,9 +174,11 @@ class KorsSampler:
         z = bernoulli(self._rng, p)  # drawn at p = 0 too: one draw per point
         if z:
             w = 1.0 / p
-            # fold the admission weight into the appended row/column
-            # (no inv_cross: inv·(cross·√w) rounds unlike √w·(inv·cross))
-            self.dict.sub_inv.append(cross * np.sqrt(w), kdiag * w)
+            # fold the admission weight into the appended row/column; the
+            # score's product scaled by √w stands for inv·(cross·√w), which
+            # it equals up to rounding
+            sw = np.sqrt(w)
+            self.dict.sub_inv.append(cross * sw, kdiag * w, inv_cross=u * sw)
             self.dict.add(x, d_t, self._rounds, p)
         return KorsStep(tau_tilde=tau, p_tilde=p, accepted=z, size=self.size)
 

@@ -4,9 +4,10 @@ Regularized inverses are grown one row/column at a time by Schur
 bordering and periodically rebuilt from the tracked matrix to bound
 drift. An append of order n costs one n×n mat-vec, or none when the
 caller passes the product (M + alpha I)^{-1}·cross it already has, plus
-an in-place rank-1 update applied in row blocks, so no n×n temporary
-is built. Everything is dense float64: at desk scale (a few thousand
-points) sparse or low-rank storage buys nothing.
+an in-place rank-1 update. The inverse's rows sit in one flat buffer at
+a padded row stride, so the update runs over whole contiguous row
+blocks and needs no n×n temporary. Everything is dense float64: at desk
+scale (a few thousand points) sparse or low-rank storage buys nothing.
 """
 
 from __future__ import annotations
@@ -23,10 +24,17 @@ REFRESH_EVERY = 512
 SCHUR_RTOL = 1e-12
 
 # Bytes of the temporary that append's in-place rank-1 update fills per
-# row block. With the inverse rows it is added into, a block takes twice
-# this, 1 MiB, which stays within a core's L2 cache: 64 rows at order
-# 1024, and the whole update in one block up to order 256.
+# row block. A block spans whole rows of the padded stride w, not just the
+# order n. With the inverse rows it is added into, a block takes twice
+# this, 1 MiB, which stays within a core's L2 cache: 64 rows at stride
+# 1024, and the whole update in one block up to stride 256.
 APPEND_BLOCK_BYTES = 512 * 1024
+
+# Row stride of the maintained inverse: an order above ROW_STRIDE_STEP
+# is padded to a multiple of it, a smaller one to a multiple of 16. Each
+# step moves the rows once; the padding stays under a step, so a small
+# inverse's update does little extra work.
+ROW_STRIDE_STEP = 128
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +75,18 @@ def psd_solve(M: np.ndarray, alpha: float, b: np.ndarray) -> np.ndarray:
     n = M.shape[0]
     if n == 0:
         return np.zeros_like(b)
-    A = M + alpha * np.eye(n)
+    cf = _cho_factor(M + alpha * np.eye(n))
+    return scipy.linalg.cho_solve(cf, b, check_finite=False)
+
+
+def _cho_factor(A: np.ndarray, overwrite: bool = False):
+    """Lower Cholesky factor of A, in place when `overwrite` and A is
+    Fortran-ordered."""
     try:
-        cf = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+        return scipy.linalg.cho_factor(A, lower=True, overwrite_a=overwrite,
+                                       check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"factorization failed: {exc}") from exc
-    return scipy.linalg.cho_solve(cf, b, check_finite=False)
 
 
 def sym_eigvals(M: np.ndarray) -> np.ndarray:
@@ -118,6 +132,17 @@ def gram_shift_product_direct(X: np.ndarray, alpha: float, v: np.ndarray) -> np.
 # incrementally grown regularized inverse
 # ---------------------------------------------------------------------------
 
+def _row_stride(n: int) -> int:
+    """Row stride of the maintained inverse at order n >= 1."""
+    step = ROW_STRIDE_STEP if n > ROW_STRIDE_STEP else 16
+    return -(-n // step) * step
+
+
+def _block_rows(w: int) -> int:
+    """Rows of stride w in one APPEND_BLOCK_BYTES block of the update."""
+    return max(1, APPEND_BLOCK_BYTES // (8 * w))
+
+
 class RegularizedInverse:
     """Maintained (M + alpha I)^{-1} for a PSD matrix M grown by appending
     one row/column at a time.
@@ -129,9 +154,15 @@ class RegularizedInverse:
     rejected: a near-singular bordering would silently corrupt every
     later product.
 
-    An append at order n costs O(n²): the product u = inv·cross (skipped
-    when the caller supplies it) and the update inv += u uᵀ/s, added in
-    place in row blocks of APPEND_BLOCK_BYTES with no n×n temporary.
+    The inverse's rows lie in one flat buffer at row stride
+    w = _row_stride(order); `inv` is its [:n, :n] view, and the padding
+    columns hold zeros that are never read. An append at order n costs
+    O(n²): the product u = inv·cross (skipped when the caller supplies
+    it) and the update inv += u uᵀ/s, added in place over contiguous
+    blocks of whole rows (n·w entries, against u zero-padded to w). When
+    the order passes w, the rows move to the wider stride in place (once
+    per stride step); the buffers are reallocated, at double the
+    capacity, only when the order passes the capacity.
     """
 
     def __init__(self, alpha: float):
@@ -139,10 +170,13 @@ class RegularizedInverse:
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
         self.order = 0
+        self.refreshes = 0  # rebuilds from the tracked matrix so far
         self._appends = 0
         self._cap = 0
         self._mat = np.zeros((0, 0))
-        self._inv = np.zeros((0, 0))
+        self._flat = np.zeros(0)      # cap² entries holding the inverse's rows
+        self._inv = np.zeros((0, 0))  # _flat as rows of the current stride
+        self._upad = np.zeros(0)      # u zero-padded to the stride
 
     # -- views ---------------------------------------------------------
 
@@ -157,33 +191,53 @@ class RegularizedInverse:
         return self._inv[: self.order, : self.order]
 
     def _ensure_capacity(self, n: int) -> None:
-        if n <= self._cap:
+        """Room for order n: M in cap × cap entries and the inverse's rows
+        at stride w = _row_stride(n) in cap²; cap (16 times a power of two,
+        at least n) is a multiple of the stride step, so w <= cap."""
+        if n <= self._inv.shape[1]:  # orders up to w keep stride w
             return
-        cap = max(16, n, 2 * self._cap)
-        for name in ("_mat", "_inv"):
-            old = getattr(self, name)
-            new = np.zeros((cap, cap))
-            new[: self.order, : self.order] = old[: self.order, : self.order]
-            setattr(self, name, new)
-        self._cap = cap
+        order, w = self.order, _row_stride(n)
+        if n > self._cap:
+            cap = max(16, n, 2 * self._cap)
+            mat = np.zeros((cap, cap))
+            mat[:order, :order] = self.mat
+            flat = np.zeros(cap * cap)
+            flat[: order * w].reshape(order, w)[:, :order] = self.inv
+            self._mat, self._flat, self._cap = mat, flat, cap
+        else:
+            # last rows first: a block's new place lies past every row not
+            # yet moved, so only the block itself overlaps; copy it via tmp
+            rows = _block_rows(w)
+            scratch = np.empty(min(rows, order) * order)
+            for r1 in range(order, 0, -rows):
+                r0 = max(0, r1 - rows)
+                tmp = scratch[: (r1 - r0) * order].reshape(r1 - r0, order)
+                tmp[...] = self._inv[r0:r1, :order]
+                dst = self._flat[r0 * w: r1 * w].reshape(r1 - r0, w)
+                dst[:, :order] = tmp
+                dst[:, order:] = 0.0
+        self._inv = self._flat[: self._flat.size // w * w].reshape(-1, w)
+        self._upad = np.zeros(w)
 
     # -- growth --------------------------------------------------------
 
-    def schur_complement(self, cross: np.ndarray, diag: float) -> float:
-        """Schur complement of the would-be appended row/column."""
+    def schur_complement(self, cross: np.ndarray, diag: float) -> tuple[float, np.ndarray]:
+        """Schur complement of the would-be appended row/column, and the
+        product inv·cross it is formed with (what `append` takes as
+        `inv_cross`)."""
         cross = as_vec(cross)
         if cross.shape[0] != self.order:
             raise ValueError(f"cross has length {cross.shape[0]}, expected {self.order}")
-        if self.order == 0:
-            return float(diag) + self.alpha
-        return float(diag) + self.alpha - float(cross @ (self.inv @ cross))
+        u = self.inv @ cross
+        return float(diag) + self.alpha - float(cross @ u), u
 
     def append(self, cross: np.ndarray, diag: float,
                inv_cross: np.ndarray | None = None) -> None:
         """Grow M by one row/column (border `cross`, corner `diag`) in place.
 
-        `inv_cross`, when given, must be `apply(cross)`; the append then
-        skips that product. The result is the same bit for bit.
+        `inv_cross`, when given, stands for `apply(cross)`, and the append
+        skips that product; given exactly that product, the result is the
+        same bit for bit.
         """
         cross = as_vec(cross)
         n = self.order
@@ -204,13 +258,19 @@ class RegularizedInverse:
         self._mat[:n, n] = cross
         self._mat[n, :n] = cross
         self._mat[n, n] = diag
+        w = self._inv.shape[1]
+        rows = _block_rows(w)
+        scratch = np.empty(min(rows, n) * w)
         # each entry gains fl(fl(u_i u_j) / s), as from np.outer(u, u) / s
-        rows = max(1, APPEND_BLOCK_BYTES // (8 * max(n, 1)))
+        # (einsum adds each product to a zeroed output, so a zero product
+        # enters as +0), over whole rows: the padding columns gain +0
+        self._upad[:n] = u
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
-            tmp = np.multiply.outer(u[r0:r1], u)
+            tmp = scratch[: (r1 - r0) * w].reshape(r1 - r0, w)
+            np.einsum("i,j->ij", u[r0:r1], self._upad, out=tmp)
             tmp /= s
-            self._inv[r0:r1, :n] += tmp
+            self._inv[r0:r1] += tmp
         border = -u / s
         self._inv[:n, n] = border
         self._inv[n, :n] = border
@@ -221,11 +281,22 @@ class RegularizedInverse:
             self.refresh()
 
     def refresh(self) -> None:
-        """Rebuild the inverse from the tracked matrix by column solves."""
+        """Rebuild the inverse from the tracked matrix by column solves.
+
+        The same values as `psd_solve(mat, alpha, eye)`, with two n×n
+        temporaries: M + alpha I, factored in place, and the identity,
+        solved in place."""
         n = self.order
         if n == 0:
             return
-        self._inv[:n, :n] = psd_solve(self.mat, self.alpha, np.eye(n))
+        a = np.eye(n, order="F")
+        a *= self.alpha
+        a += self.mat
+        x = scipy.linalg.cho_solve(_cho_factor(a, overwrite=True),
+                                   np.eye(n, order="F"), overwrite_b=True,
+                                   check_finite=False)
+        self.inv[...] = x
+        self.refreshes += 1
 
     # -- products ------------------------------------------------------
 

@@ -63,6 +63,11 @@ class SketchedKons(NewtonCore):
         self.rejected_appends = 0       # accepted coins demoted by a singular append
         self._coin_rng = named_rng(cfg.kors.rng_seed, "sketch-coins")
 
+    @property
+    def refreshes(self) -> int:
+        """Rebuilds of the sketch and of the sampler's inverse so far."""
+        return self.precond.refreshes + self.kors.dict.sub_inv.refreshes
+
     def _select(self, x, d_t, w, u, kdiag, q_raw):
         # independent sampler: only its leverage estimate crosses over
         kres = self.kors.step(x, d_t)

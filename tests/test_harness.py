@@ -10,6 +10,7 @@ from koco.errors import ConfigError, StreamParseError, ZeroNormPoint
 from koco.harness import (TRACE_COLUMNS, ExperimentConfig, GdBaseline, parse_config_text,
                           run_experiment, run_stream, summarize_run)
 from koco.kernels import gaussian, gram
+from koco.linalg import REFRESH_EVERY
 from koco.losses import LossEvent
 from koco.oracle import ComparatorResult
 
@@ -278,6 +279,38 @@ def test_run_stream_names_the_round_of_a_kernel_error():
     events[2] = LossEvent(np.zeros(2), "squared", events[2].target)
     with pytest.raises(ZeroNormPoint, match="^round 3: linear-normalized kernel"):
         run_stream(cfg, 0, events)
+
+
+@pytest.mark.parametrize("learner", ["kons", "gd-baseline"])
+def test_run_stream_names_round_one_of_a_kernel_error(learner):
+    # no point is stored before round 1, so the first point is scored
+    # against itself
+    cfg = parse_config_text(BASE_CONFIG.replace("kernel = gaussian",
+                                                "kernel = linear-normalized")
+                            .replace("learner = kons", f"learner = {learner}"))
+    events = cfg.events(0)[:5]
+    events[0] = LossEvent(np.zeros(2), "squared", events[0].target)
+    with pytest.raises(ZeroNormPoint, match="^round 1: linear-normalized kernel"):
+        run_stream(cfg, 0, events)
+
+
+@pytest.mark.parametrize("learner, expected", [("kons", 1), ("skons", 1),
+                                               ("gd-baseline", 0)])
+def test_summary_counts_refreshes(learner, expected):
+    # one refresh per REFRESH_EVERY appends of each inverse: at gamma 1
+    # every sketch column enters, as in the exact learner, while the
+    # sampler admits fewer
+    text = (BASE_CONFIG.replace("learner = kons", f"learner = {learner}")
+            .replace("horizon = 40", f"horizon = {REFRESH_EVERY}")
+            + "gamma = 1.0\ncomparator = false\n")
+    cfg = parse_config_text(text)
+    run = run_stream(cfg, 0, cfg.events(0))
+    summary = summarize_run(cfg, 0, run, None, None)
+    assert summary.refreshes == expected
+    assert f"\nrejected_appends=0\nrefreshes={expected}\n" in summary.as_text()
+    if learner == "skons":  # the sampler's rebuilds count too
+        run.kors.dict.sub_inv.refresh()
+        assert summarize_run(cfg, 0, run, None, None).refreshes == expected + 1
 
 
 def test_csv_run_reads_its_stream_once(tmp_path, monkeypatch):

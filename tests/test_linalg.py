@@ -97,6 +97,58 @@ def test_append_is_bit_identical_to_unblocked_formula(supplied):
     assert np.array_equal(ri.mat, M)
 
 
+@pytest.mark.parametrize("n", [40, 700], ids=["one-block", "restrides"])
+def test_padded_layout_reads_the_unblocked_values(n):
+    # 700 appends cross the strides 16, 32, ..., 128, 256, ..., 768 (moved
+    # in place or with a buffer doubling, the last at 513) and the refresh
+    # at 512; 40 stay in one block
+    rng = np.random.default_rng(9)
+    rows = rng.normal(size=(n, 6))
+    M = rows @ rows.T / 6.0
+    v = rng.normal(size=n)
+    ri = RegularizedInverse(alpha=0.9)
+    strides, caps = set(), set()
+    for j in range(n):
+        cross, diag = M[:j, j], M[j, j]
+        if (j + 1) % REFRESH_EVERY == 0:
+            expected = psd_solve(M[: j + 1, : j + 1], 0.9, np.eye(j + 1))
+        else:
+            expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
+        ri.append(cross, diag)
+        assert np.array_equal(ri.inv, expected), f"order {j + 1}"
+        assert np.array_equal(ri.apply(v[: j + 1]),
+                              np.ascontiguousarray(ri.inv) @ v[: j + 1]), f"order {j + 1}"
+        padding = ri._inv[: j + 1, j + 1:]
+        assert not padding.any(), f"order {j + 1}"
+        strides.add(ri._inv.shape[1])
+        caps.add(ri._cap)
+    if n == 700:
+        assert {48, 80, 128, 256, 384, 512, 640, 768} <= strides and {512, 1024} <= caps
+        assert ri.refreshes == 1
+    else:
+        assert 8 * n * ri._inv.shape[1] <= APPEND_BLOCK_BYTES  # the update is one block
+
+
+def test_sampler_product_append_matches_the_computed_one():
+    # KorsSampler scores a point's member column (weighted by the members'
+    # √w) and appends it scaled by its own √w, with the score's product
+    # √w·(inv·cross) in place of inv·(cross·√w): equal up to rounding
+    rng = np.random.default_rng(10)
+    n = 300
+    rows = rng.normal(size=(n, 5))
+    M = rows @ rows.T / 5.0
+    weights = 1.0 / rng.uniform(0.05, 1.0, size=n)
+    sw = np.sqrt(weights)
+    supplied, computed = RegularizedInverse(alpha=1.0), RegularizedInverse(alpha=1.0)
+    for j in range(n):
+        cross, diag = M[:j, j] * sw[:j], M[j, j]
+        s, u = supplied.schur_complement(cross, diag)
+        assert s == diag + 1.0 - float(cross @ supplied.apply(cross))
+        supplied.append(cross * sw[j], diag * weights[j], inv_cross=u * sw[j])
+        computed.append(cross * sw[j], diag * weights[j])
+        assert np.max(np.abs(supplied.inv - computed.inv)) <= 1e-12, f"order {j + 1}"
+
+
 def test_append_rejects_product_of_wrong_length():
     ri = RegularizedInverse(alpha=1.0)
     ri.append(np.zeros(0), 1.0)

@@ -2,7 +2,9 @@
 
 All families produce k(x, x) = 1: the gaussian natively, the linear and
 polynomial families by cosine normalization at the library boundary
-(zero-norm inputs are a hard error there, not silently mapped).
+(zero-norm inputs are a hard error there, not silently mapped). Each
+family is written twice, as a row (`cross_vector`) and as a matrix
+(`gram`): the comparator and every regret figure rest on gram's bits.
 """
 
 from __future__ import annotations
@@ -52,39 +54,6 @@ def polynomial(degree: int, offset: float = 0.0) -> KernelSpec:
     return KernelSpec(POLYNOMIAL, degree=degree, offset=offset)
 
 
-def _check_point(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point contains NaN/Inf")
-    return x
-
-
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """k(x, y); symmetric, with k(x, x) = 1 exactly."""
-    x = _check_point(x)
-    y = _check_point(y)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"coordinate dimensions {x.shape[0]} vs {y.shape[0]}")
-    if np.array_equal(x, y):
-        return 1.0
-    if spec.family == GAUSSIAN:
-        d2 = float(np.sum((x - y) ** 2))
-        return float(np.exp(-d2 / (2.0 * spec.bandwidth**2)))
-    if spec.family == LINEAR:
-        nx = float(x @ x)
-        ny = float(y @ y)
-        if nx == 0.0 or ny == 0.0:
-            raise ZeroNormPoint("linear-normalized kernel undefined for zero vector")
-        return float((x @ y) / np.sqrt(nx * ny))
-    # polynomial
-    pxx = (float(x @ x) + spec.offset) ** spec.degree
-    pyy = (float(y @ y) + spec.offset) ** spec.degree
-    if pxx == 0.0 or pyy == 0.0:
-        raise ZeroNormPoint("polynomial-normalized kernel undefined for zero vector")
-    pxy = (float(x @ y) + spec.offset) ** spec.degree
-    return float(pxy / np.sqrt(pxx * pyy))
-
-
 def _stack(history) -> np.ndarray:
     H = np.asarray(history, dtype=np.float64)
     if H.ndim == 1:
@@ -93,8 +62,14 @@ def _stack(history) -> np.ndarray:
 
 
 def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
-    """Vector of k(history[i], x) for every i, in order."""
-    x = _check_point(x)
+    """Vector of k(history[i], x) for every i, in order.
+
+    Entry i reduces over history[i] alone, never through a BLAS product
+    (which takes another path for one row than for many), so the row
+    against part of the history is a gather of the row against all of it."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point contains NaN/Inf")
     H = _stack(history)
     if H.shape[0] == 0:
         return np.zeros(0)
@@ -103,17 +78,18 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     if spec.family == GAUSSIAN:
         d2 = np.maximum(np.sum((H - x) ** 2, axis=1), 0.0)
         return np.exp(-d2 / (2.0 * spec.bandwidth**2))
+    hx = np.sum(H * x, axis=1)
     if spec.family == LINEAR:
         norms = np.sqrt(np.sum(H * H, axis=1))
         nx = float(np.sqrt(x @ x))
         if nx == 0.0 or np.any(norms == 0.0):
             raise ZeroNormPoint("linear-normalized kernel undefined for zero vector")
-        return (H @ x) / (norms * nx)
+        return hx / (norms * nx)
     self_p = (np.sum(H * H, axis=1) + spec.offset) ** spec.degree
     px = (float(x @ x) + spec.offset) ** spec.degree
     if px == 0.0 or np.any(self_p == 0.0):
         raise ZeroNormPoint("polynomial-normalized kernel undefined for zero vector")
-    return ((H @ x) + spec.offset) ** spec.degree / np.sqrt(self_p * px)
+    return (hx + spec.offset) ** spec.degree / np.sqrt(self_p * px)
 
 
 def check_point(spec: KernelSpec, x) -> None:

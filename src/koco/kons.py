@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
-# stays because perfbench's tracer hooks its kernels.diag layer on it
-from .kernels import KernelSpec, check_point, cross_vector, eval_kernel  # noqa: F401
+from .kernels import KernelSpec, check_point, cross_vector
 from .linalg import RegularizedInverse, grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
 
@@ -205,7 +203,7 @@ class NewtonCore:
         if self.t == 0:
             self._pts = np.zeros((16, x.shape[0]))
         self._grow(t_new)
-        tau, p_accept, accepted = self._select(x, d_t, w, u, kdiag, q_raw)
+        tau, p_accept, accepted = self._select(x, d_t, kc, w, u, kdiag, q_raw)
 
         self._pts[self.t] = x
         self._d[self.t] = d_t
@@ -228,11 +226,12 @@ class NewtonCore:
         self.records.append(rec)
         return rec
 
-    def _select(self, x: np.ndarray, d_t: float, w: np.ndarray, u: np.ndarray,
-                kdiag: float, q_raw: float) -> tuple[float, float, int]:
-        """(tau, p_accept, accepted) of the round whose restricted column
-        is w, with preconditioner product u, and corner kdiag; admits the
-        column when it is accepted."""
+    def _select(self, x: np.ndarray, d_t: float, kc: np.ndarray, w: np.ndarray,
+                u: np.ndarray, kdiag: float, q_raw: float) -> tuple[float, float, int]:
+        """(tau, p_accept, accepted) of the round whose rescaled row over
+        every past round is kc, restricted column w, with preconditioner
+        product u, and corner kdiag; admits the column when it is
+        accepted."""
         raise NotImplementedError
 
     def _admit(self, w: np.ndarray, u: np.ndarray, kdiag: float) -> None:
@@ -251,7 +250,7 @@ class Kons(NewtonCore):
     def __init__(self, kernel: KernelSpec, cfg: KonsConfig):
         super().__init__(kernel, cfg, cfg)
 
-    def _select(self, x, d_t, w, u, kdiag, q_raw):
+    def _select(self, x, d_t, kc, w, u, kdiag, q_raw):
         # a singular append raises SchurNotPositive and aborts the round
         self._admit(w, u, kdiag)
         q_pos = max(q_raw, 0.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_vector
+from .kernels import KernelSpec, check_point, cross_vector
 from .linalg import SCHUR_RTOL, RegularizedInverse, grown
 from .rng import bernoulli, named_rng
 
@@ -125,8 +125,10 @@ class KorsSampler:
     """Online row sampler over a (possibly gradient-rescaled) kernel stream.
 
     `d_t` below is the per-round rescale factor of the feature (1 for a
-    plain kernel stream); kernel evaluations only ever touch dictionary
-    members, so a step costs O(size^2).
+    plain kernel stream). A step evaluates the kernel against the
+    dictionary members only, or not at all when the caller passes their
+    column (the sketched learner gathers it from its own kernel row), so
+    it costs O(size^2).
     """
 
     def __init__(self, kernel: KernelSpec, cfg: KorsConfig):
@@ -143,11 +145,12 @@ class KorsSampler:
     def _member_column(self, x: np.ndarray, d_t: float) -> np.ndarray:
         """Weighted rescaled kernel column of x against the members."""
         if not len(self.dict):
+            check_point(self.kernel, x)  # fails now, not when x is a member
             return np.zeros(0)
         ks = cross_vector(self.kernel, self.dict.points, x)
         return ks * self.dict.d_scale * d_t * self.dict.sweights
 
-    def step(self, x, d_t: float = 1.0) -> KorsStep:
+    def step(self, x, d_t: float = 1.0, cross: np.ndarray | None = None) -> KorsStep:
         """Score one stream point, flip its coin, and admit it on success.
 
         The score (1+eps)(1 - alpha/s) over-estimates the leverage of x
@@ -159,12 +162,17 @@ class KorsSampler:
         admitted point enters with weight 1/p, recorded at its round
         (the count of points scored); its append reuses the score's
         product inv·cross.
+
+        `cross`, when given, is the members' weighted rescaled kernel
+        column of an already checked x; the step then neither checks x
+        nor evaluates the kernel.
         """
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if not np.isfinite(x).all():
-            raise ValueError(f"round {self._rounds + 1}: point contains NaN/Inf")
+        if cross is None:
+            x = np.asarray(x, dtype=np.float64).reshape(-1)
+            if not np.isfinite(x).all():
+                raise ValueError(f"round {self._rounds + 1}: point contains NaN/Inf")
+            cross = self._member_column(x, d_t)
         self._rounds += 1
-        cross = self._member_column(x, d_t)
         kdiag = d_t * d_t  # k(x, x) = 1 for every kernel in koco.kernels
         s, u = self.dict.sub_inv.schur_complement(cross, kdiag)
         tau = 0.0

@@ -221,13 +221,19 @@ class RegularizedInverse:
 
     # -- growth --------------------------------------------------------
 
+    def _border(self, cross) -> np.ndarray:
+        # entries go unchecked: the learners and the sampler build cross
+        # from points checked when their round began
+        cross = np.asarray(cross, dtype=np.float64).reshape(-1)
+        if cross.shape[0] != self.order:
+            raise ValueError(f"cross has length {cross.shape[0]}, expected {self.order}")
+        return cross
+
     def schur_complement(self, cross: np.ndarray, diag: float) -> tuple[float, np.ndarray]:
         """Schur complement of the would-be appended row/column, and the
         product inv·cross it is formed with (what `append` takes as
         `inv_cross`)."""
-        cross = as_vec(cross)
-        if cross.shape[0] != self.order:
-            raise ValueError(f"cross has length {cross.shape[0]}, expected {self.order}")
+        cross = self._border(cross)
         u = self.inv @ cross
         return float(diag) + self.alpha - float(cross @ u), u
 
@@ -239,10 +245,8 @@ class RegularizedInverse:
         skips that product; given exactly that product, the result is the
         same bit for bit.
         """
-        cross = as_vec(cross)
+        cross = self._border(cross)
         n = self.order
-        if cross.shape[0] != n:
-            raise ValueError(f"cross has length {cross.shape[0]}, expected {n}")
         if inv_cross is None:
             u = self.inv @ cross
         else:

@@ -4,7 +4,8 @@ Second-order updates run against an unweighted sketch of the
 preconditioner: each round an independent leverage-score sampler scores
 the incoming gradient direction, the acceptance probability is floored
 at gamma, and only accepted directions enter the preconditioner. Cost
-per round is O(t) for the kernel row plus O(size^2) for the sketch,
+per round is O(t) for the one kernel row, which the sampler gathers its
+members' column from, plus O(size^2) for the sketch and the sampler,
 against the exact learner's O(t^2).
 
 Why unweighted columns: reweighting admitted terms by 1/probability
@@ -68,9 +69,12 @@ class SketchedKons(NewtonCore):
         """Rebuilds of the sketch and of the sampler's inverse so far."""
         return self.precond.refreshes + self.kors.dict.sub_inv.refreshes
 
-    def _select(self, x, d_t, w, u, kdiag, q_raw):
-        # independent sampler: only its leverage estimate crosses over
-        kres = self.kors.step(x, d_t)
+    def _select(self, x, d_t, kc, w, u, kdiag, q_raw):
+        # independent sampler: only its leverage estimate crosses over.
+        # Its members are past rounds, so their column is gathered from
+        # the learner's row, in _member_column's operation order
+        members = self.kors.dict
+        kres = self.kors.step(x, d_t, cross=kc[members.rounds - 1] * members.sweights)
         p = max(min(self.cfg.kors.beta * kres.tau_tilde, 1.0), self.cfg.gamma)
         accepted = bernoulli(self._coin_rng, p)
         if accepted:

@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,6 +361,12 @@ def test_gd_baseline_non_finite_point_names_its_round(bad_round):
     with pytest.raises(ValueError, match=f"round {bad_round}: point contains NaN/Inf"):
         gd.step(bad, LossEvent(bad, "squared", 0.5))
     assert gd.t == bad_round - 1
+    # a rejected round leaves no trace
+    fresh = GdBaseline(gaussian(1.0), clip_c=1.0, lipschitz=4.0)
+    for _ in range(bad_round):
+        want = fresh.step(x, LossEvent(x, "squared", 0.5))
+    rec = gd.step(x, LossEvent(x, "squared", 0.5))
+    assert replace(rec, elapsed_us=0.0) == replace(want, elapsed_us=0.0)
 
 
 # ---------------------------------------------------------------------------

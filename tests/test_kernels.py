@@ -2,39 +2,39 @@ import numpy as np
 import pytest
 
 from koco.errors import DimensionMismatch, ZeroNormPoint
-from koco.kernels import (FAMILIES, KernelSpec, cross_vector, eval_kernel, gaussian, gram,
-                          linear, polynomial)
+from koco.kernels import (FAMILIES, KernelSpec, cross_vector, gaussian, gram, linear,
+                          polynomial)
 from koco.linalg import sym_eigvals
 
 
 def test_gaussian_self_is_one():
     k = gaussian(1.0)
     x = np.array([0.3, -1.2])
-    assert eval_kernel(k, x, x) == 1.0
+    assert cross_vector(k, x, x)[0] == 1.0
 
 
 def test_gaussian_known_value():
     k = gaussian(1.0)
     # exp(-|x-y|^2 / (2 bw^2))
-    assert eval_kernel(k, np.array([0.0]), np.array([2.0])) == pytest.approx(np.exp(-2.0))
+    assert cross_vector(k, np.array([[0.0]]), np.array([2.0]))[0] == pytest.approx(np.exp(-2.0))
 
 
 def test_linear_orthogonal():
     k = linear()
-    assert eval_kernel(k, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert cross_vector(k, np.array([[1.0, 0.0]]), np.array([0.0, 1.0]))[0] == 0.0
 
 
 def test_linear_zero_vector_rejected():
-    with pytest.raises(ZeroNormPoint):
-        eval_kernel(linear(), np.zeros(2), np.ones(2))
+    for history, x in ((np.zeros((1, 2)), np.ones(2)), (np.ones((1, 2)), np.zeros(2))):
+        with pytest.raises(ZeroNormPoint):
+            cross_vector(linear(), history, x)
 
 
 def test_polynomial_normalized_self():
     k = polynomial(3, 0.5)
     x = np.array([1.0, 2.0])
-    assert eval_kernel(k, x, x) == 1.0
-    y = np.array([-1.0, 0.5])
-    v = eval_kernel(k, x, y)
+    assert cross_vector(k, x, x)[0] == 1.0
+    v = cross_vector(k, x, np.array([-1.0, 0.5]))[0]
     assert abs(v) <= 1.0 + 1e-12
 
 
@@ -52,7 +52,7 @@ def test_every_family_checks_every_parameter(family, bad, message):
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        eval_kernel(gaussian(), np.ones(2), np.ones(3))
+        cross_vector(gaussian(), np.ones((1, 2)), np.ones(3))
 
 
 def test_cross_vector_empty_and_self():
@@ -68,7 +68,7 @@ def test_cross_vector_matches_elementwise(spec):
     H = rng.normal(size=(3, 4))
     x = rng.normal(size=4)
     vec = cross_vector(spec, H, x)
-    ref = [eval_kernel(spec, h, x) for h in H]
+    ref = gram(spec, np.vstack([H, x]))[-1, :-1]
     assert np.max(np.abs(vec - ref)) < 1e-12
 
 

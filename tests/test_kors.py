@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from koco.kernels import gaussian, gram
+from koco.errors import ZeroNormPoint
+from koco.kernels import gaussian, gram, linear
 from koco.kors import (KorsConfig, KorsSampler, dict_size_bound, required_budget)
 from koco.oracle import prefix_rls
 from koco.rng import bernoulli, named_rng
@@ -82,6 +83,28 @@ def test_non_finite_point_names_its_round():
     s.step(np.zeros(2))
     with pytest.raises(ValueError, match="round 3:"):
         s.step(np.array([0.0, np.inf]))
+    # a rejected round leaves no trace: the next point steps as in a
+    # sampler that never saw the rejected ones
+    fresh = KorsSampler(gaussian(1.0), make_cfg())
+    fresh.step(np.ones(2))
+    fresh.step(np.zeros(2))
+    clean = np.array([0.5, -0.5])
+    assert s.step(clean) == fresh.step(clean)
+    assert s._rounds == fresh._rounds == 3
+    assert s._rng.random() == fresh._rng.random()
+
+
+def test_zero_first_point_is_rejected_in_its_round():
+    # with no member to evaluate it against, a zero point under a
+    # cosine-normalized kernel is checked on its own
+    s = KorsSampler(linear(), make_cfg(beta=10.0))
+    with pytest.raises(ZeroNormPoint):
+        s.step(np.zeros(2))
+    assert s.size == 0
+    fresh = KorsSampler(linear(), make_cfg(beta=10.0))
+    for x in ([1.0, 0.5], [0.3, 0.2]):
+        assert s.step(np.array(x)) == fresh.step(np.array(x))
+    assert list(s.dict.rounds) == list(fresh.dict.rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,16 @@ def test_append_rejects_product_of_wrong_length():
     assert ri.order == 2
 
 
+@pytest.mark.parametrize("grow", ["schur_complement", "append"])
+def test_cross_of_wrong_length_is_rejected(grow):
+    ri = RegularizedInverse(alpha=1.0)
+    ri.append(np.zeros(0), 1.0)
+    for bad in (np.zeros(0), np.array([0.1, 0.2])):
+        with pytest.raises(ValueError, match="cross has length"):
+            getattr(ri, grow)(bad, 1.0)
+        assert ri.order == 1
+
+
 def test_periodic_refresh_runs():
     rng = np.random.default_rng(4)
     ri = RegularizedInverse(alpha=1.0)

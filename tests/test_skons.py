@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from koco.kernels import gaussian
+from koco.kernels import gaussian, linear, polynomial
 from koco.kons import Kons, KonsConfig
-from koco.kors import KorsConfig
+from koco.kors import KorsConfig, KorsSampler
 from koco.losses import curvature_profile
 from koco.skons import SketchedKons, SkonsConfig, sandwich_audit
 from koco.streams import SyntheticSpec, generate_stream
@@ -168,3 +170,33 @@ def test_non_finite_point_names_its_round(make, bad_round):
     with pytest.raises(ValueError, match=f"round {bad_round}:"):
         learner.step(x, events[-1])
     assert learner.t == bad_round - 1
+    # a rejected round leaves no trace, in the sampler's rounds and coins too
+    rec = learner.step(events[-1].point, events[-1])
+    fresh = make()
+    want = [fresh.step(ev.point, ev) for ev in events][-1]
+    assert replace(rec, elapsed_us=0.0) == replace(want, elapsed_us=0.0)
+    if isinstance(learner, SketchedKons):
+        assert learner.kors._rounds == fresh.kors._rounds == bad_round
+        for mine, theirs in ((learner.kors._rng, fresh.kors._rng),
+                             (learner._coin_rng, fresh._coin_rng)):
+            assert mine.random() == theirs.random()
+
+
+@pytest.mark.parametrize("kernel", [gaussian(1.0), linear(), polynomial(2, 0.5)],
+                         ids=lambda k: k.family)
+def test_embedded_sampler_matches_a_standalone_one(kernel):
+    # the embedded sampler gathers its member column from the learner's
+    # kernel row; a standalone sampler evaluates it against its members.
+    # Low budgets keep the dictionary at one member for some rounds, where
+    # a one-row BLAS product would round differently from the learner's
+    for seed, beta in ((2, 0.5), (23, 0.5), (34, 1.0)):
+        events = stream(seed, 150, dim=2)
+        cfg = sketch_cfg(0.1, seed=seed, beta=beta)
+        learner = SketchedKons(kernel, cfg)
+        run(learner, events)
+        alone = KorsSampler(kernel, cfg.kors)
+        for x, d_t, rec in zip(learner.points, learner.d_scale, learner.records,
+                               strict=True):
+            assert alone.step(x, d_t).tau_tilde == rec.tau
+        assert list(alone.dict.rounds) == list(learner.kors.dict.rounds)
+        assert list(alone.dict.probs) == list(learner.kors.dict.probs)

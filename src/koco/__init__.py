@@ -9,7 +9,7 @@ reproducible seeded experiments.
 from .errors import (ConfigError, DimensionMismatch, KocoError, NoConvergence,
                      NoProgress, NotPositiveDefinite, SchurNotPositive,
                      StreamParseError, TargetOutOfRange, ZeroNormPoint)
-from .kernels import KernelSpec, cross_vector, gaussian, gram, linear, polynomial
+from .kernels import KernelSpec, cross_vector, eval_kernel, gaussian, gram, linear, polynomial
 from .kons import Kons, KonsConfig, StepRecord, eta_at
 from .kors import Dictionary, KorsConfig, KorsSampler, dict_size_bound, required_budget
 from .linalg import RegularizedInverse, gram_shift_product, psd_solve, sym_eigvals

@@ -2,9 +2,7 @@
 
 All families produce k(x, x) = 1: the gaussian natively, the linear and
 polynomial families by cosine normalization at the library boundary
-(zero-norm inputs are a hard error there, not silently mapped). Each
-family is written twice, as a row (`cross_vector`) and as a matrix
-(`gram`): the comparator and every regret figure rest on gram's bits.
+(zero-norm inputs are a hard error there, not silently mapped).
 """
 
 from __future__ import annotations
@@ -54,6 +52,39 @@ def polynomial(degree: int, offset: float = 0.0) -> KernelSpec:
     return KernelSpec(POLYNOMIAL, degree=degree, offset=offset)
 
 
+def _check_point(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point contains NaN/Inf")
+    return x
+
+
+def eval_kernel(spec: KernelSpec, x, y) -> float:
+    """k(x, y); symmetric, with k(x, x) = 1 exactly."""
+    x = _check_point(x)
+    y = _check_point(y)
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"coordinate dimensions {x.shape[0]} vs {y.shape[0]}")
+    if np.array_equal(x, y):
+        return 1.0
+    if spec.family == GAUSSIAN:
+        d2 = float(np.sum((x - y) ** 2))
+        return float(np.exp(-d2 / (2.0 * spec.bandwidth**2)))
+    if spec.family == LINEAR:
+        nx = float(x @ x)
+        ny = float(y @ y)
+        if nx == 0.0 or ny == 0.0:
+            raise ZeroNormPoint("linear-normalized kernel undefined for zero vector")
+        return float((x @ y) / np.sqrt(nx * ny))
+    # polynomial
+    pxx = (float(x @ x) + spec.offset) ** spec.degree
+    pyy = (float(y @ y) + spec.offset) ** spec.degree
+    if pxx == 0.0 or pyy == 0.0:
+        raise ZeroNormPoint("polynomial-normalized kernel undefined for zero vector")
+    pxy = (float(x @ y) + spec.offset) ** spec.degree
+    return float(pxy / np.sqrt(pxx * pyy))
+
+
 def _stack(history) -> np.ndarray:
     H = np.asarray(history, dtype=np.float64)
     if H.ndim == 1:
@@ -64,12 +95,11 @@ def _stack(history) -> np.ndarray:
 def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     """Vector of k(history[i], x) for every i, in order.
 
-    Entry i reduces over history[i] alone, never through a BLAS product
-    (which takes another path for one row than for many), so the row
-    against part of the history is a gather of the row against all of it."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point contains NaN/Inf")
+    Entry i reduces over history[i] alone (the inner products go through
+    einsum, not a BLAS product, which takes another path for one row than
+    for many), so the row against part of the history is a gather of the
+    row against all of it."""
+    x = _check_point(x)
     H = _stack(history)
     if H.shape[0] == 0:
         return np.zeros(0)
@@ -78,7 +108,7 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     if spec.family == GAUSSIAN:
         d2 = np.maximum(np.sum((H - x) ** 2, axis=1), 0.0)
         return np.exp(-d2 / (2.0 * spec.bandwidth**2))
-    hx = np.sum(H * x, axis=1)
+    hx = np.einsum("ij,j->i", H, x)
     if spec.family == LINEAR:
         norms = np.sqrt(np.sum(H * H, axis=1))
         nx = float(np.sqrt(x @ x))

@@ -125,10 +125,9 @@ class KorsSampler:
     """Online row sampler over a (possibly gradient-rescaled) kernel stream.
 
     `d_t` below is the per-round rescale factor of the feature (1 for a
-    plain kernel stream). A step evaluates the kernel against the
-    dictionary members only, or not at all when the caller passes their
-    column (the sketched learner gathers it from its own kernel row), so
-    it costs O(size^2).
+    plain kernel stream); kernel evaluations only ever touch dictionary
+    members, none when the caller passes their column, so a step costs
+    O(size^2).
     """
 
     def __init__(self, kernel: KernelSpec, cfg: KorsConfig):
@@ -163,9 +162,8 @@ class KorsSampler:
         (the count of points scored); its append reuses the score's
         product inv·cross.
 
-        `cross`, when given, is the members' weighted rescaled kernel
-        column of an already checked x; the step then neither checks x
-        nor evaluates the kernel.
+        `cross`, when given, is the members' weighted rescaled column of
+        an already checked x, which is then neither checked nor evaluated.
         """
         if cross is None:
             x = np.asarray(x, dtype=np.float64).reshape(-1)

@@ -222,8 +222,7 @@ class RegularizedInverse:
     # -- growth --------------------------------------------------------
 
     def _border(self, cross) -> np.ndarray:
-        # entries go unchecked: the learners and the sampler build cross
-        # from points checked when their round began
+        # length only: the callers build cross from points already checked
         cross = np.asarray(cross, dtype=np.float64).reshape(-1)
         if cross.shape[0] != self.order:
             raise ValueError(f"cross has length {cross.shape[0]}, expected {self.order}")
@@ -232,7 +231,8 @@ class RegularizedInverse:
     def schur_complement(self, cross: np.ndarray, diag: float) -> tuple[float, np.ndarray]:
         """Schur complement of the would-be appended row/column, and the
         product inv·cross it is formed with (what `append` takes as
-        `inv_cross`)."""
+        `inv_cross`). `cross` must be finite and is not checked: a NaN or
+        infinite entry gives a NaN or -inf complement."""
         cross = self._border(cross)
         u = self.inv @ cross
         return float(diag) + self.alpha - float(cross @ u), u
@@ -243,7 +243,8 @@ class RegularizedInverse:
 
         `inv_cross`, when given, stands for `apply(cross)`, and the append
         skips that product; given exactly that product, the result is the
-        same bit for bit.
+        same bit for bit. A NaN/Inf in `cross` (not checked) fails the
+        Schur test, without `inv_cross`, and leaves the inverse as it was.
         """
         cross = self._border(cross)
         n = self.order
@@ -255,7 +256,7 @@ class RegularizedInverse:
                 raise ValueError(f"inv_cross has shape {u.shape}, expected ({n},)")
         diag = float(diag)
         s = diag + self.alpha - float(cross @ u)
-        if s <= SCHUR_RTOL * (diag + self.alpha):
+        if not s > SCHUR_RTOL * (diag + self.alpha):  # a NaN s fails too
             raise SchurNotPositive(
                 f"schur complement {s:.3e} below tolerance at order {n}")
         self._ensure_capacity(n + 1)

@@ -70,9 +70,8 @@ class SketchedKons(NewtonCore):
         return self.precond.refreshes + self.kors.dict.sub_inv.refreshes
 
     def _select(self, x, d_t, kc, w, u, kdiag, q_raw):
-        # independent sampler: only its leverage estimate crosses over.
-        # Its members are past rounds, so their column is gathered from
-        # the learner's row, in _member_column's operation order
+        # independent sampler: only its leverage estimate crosses over; its
+        # members are past rounds, so their column is gathered from kc
         members = self.kors.dict
         kres = self.kors.step(x, d_t, cross=kc[members.rounds - 1] * members.sweights)
         p = max(min(self.cfg.kors.beta * kres.tau_tilde, 1.0), self.cfg.gamma)

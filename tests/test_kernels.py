@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from koco.errors import DimensionMismatch, ZeroNormPoint
-from koco.kernels import (FAMILIES, KernelSpec, cross_vector, gaussian, gram, linear,
-                          polynomial)
+from koco.kernels import (FAMILIES, KernelSpec, cross_vector, eval_kernel, gaussian, gram,
+                          linear, polynomial)
 from koco.linalg import sym_eigvals
 
 
@@ -68,7 +68,7 @@ def test_cross_vector_matches_elementwise(spec):
     H = rng.normal(size=(3, 4))
     x = rng.normal(size=4)
     vec = cross_vector(spec, H, x)
-    ref = gram(spec, np.vstack([H, x]))[-1, :-1]
+    ref = [eval_kernel(spec, h, x) for h in H]
     assert np.max(np.abs(vec - ref)) < 1e-12
 
 

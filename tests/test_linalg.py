@@ -169,6 +169,22 @@ def test_cross_of_wrong_length_is_rejected(grow):
         assert ri.order == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cross_fails_the_schur_test(bad):
+    ri = RegularizedInverse(alpha=1.0)
+    ri.append(np.zeros(0), 1.0)
+    ri.append(np.array([0.5]), 1.0)
+    inv = ri.inv.copy()
+    cross = np.array([0.2, bad])
+    with np.errstate(invalid="ignore"):
+        s, _ = ri.schur_complement(cross, 1.0)
+        assert not s > 0.0
+        with pytest.raises(SchurNotPositive):
+            ri.append(cross, 1.0)
+    assert ri.order == 2
+    assert np.array_equal(ri.inv, inv)
+
+
 def test_periodic_refresh_runs():
     rng = np.random.default_rng(4)
     ri = RegularizedInverse(alpha=1.0)

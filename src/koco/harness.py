@@ -264,6 +264,7 @@ class RunSummary:
     final_sampler_size: int
     rejected_appends: int  # sketch appends demoted by a singular Schur complement
     refreshes: int         # inverse rebuilds, learner plus sampler (per REFRESH_EVERY appends)
+    q_floor_clamps: int    # rounds whose q_t was floored at Q_FLOOR
     mean_step_us: float
     max_step_us: float
     bound_value: float | None = None
@@ -391,6 +392,7 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
         final_sampler_size=sampler_size,
         rejected_appends=getattr(learner, "rejected_appends", 0),
         refreshes=getattr(learner, "refreshes", 0),
+        q_floor_clamps=getattr(learner, "q_floor_clamps", 0),
         mean_step_us=float(times.mean()) if len(times) else 0.0,
         max_step_us=float(times.max()) if len(times) else 0.0,
         bound_value=bound_value, bound_ok=bound_ok)

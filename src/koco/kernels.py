@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroNormPoint
+from .linalg import APPEND_BLOCK_BYTES
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear-normalized"
@@ -106,8 +107,7 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     if H.shape[1] != x.shape[0]:
         raise DimensionMismatch(f"coordinate dimensions {H.shape[1]} vs {x.shape[0]}")
     if spec.family == GAUSSIAN:
-        d2 = np.maximum(np.sum((H - x) ** 2, axis=1), 0.0)
-        return np.exp(-d2 / (2.0 * spec.bandwidth**2))
+        return _gaussian(spec, np.sum((H - x) ** 2, axis=1))
     hx = np.einsum("ij,j->i", H, x)
     if spec.family == LINEAR:
         norms = np.sqrt(np.sum(H * H, axis=1))
@@ -120,6 +120,75 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     if px == 0.0 or np.any(self_p == 0.0):
         raise ZeroNormPoint("polynomial-normalized kernel undefined for zero vector")
     return (hx + spec.offset) ** spec.degree / np.sqrt(self_p * px)
+
+
+def _gaussian(spec: KernelSpec, sq_dists: np.ndarray, out=None) -> np.ndarray:
+    """Gaussian kernel values of squared distances (sums of squares, never
+    negative), which it overwrites: exp(-d² / (2·bandwidth²)), with the
+    sign moved onto the divisor, which leaves every quotient as it was."""
+    sq_dists /= -(2.0 * spec.bandwidth**2)
+    return np.exp(sq_dists, out=out)
+
+
+def _sq_dist_rows(P: np.ndarray, j0: int, j1: int) -> np.ndarray:
+    """|P[i] - P[j]|² for rows j in j0..j1-1 and columns i < j1, each sum
+    taken over (P[i] - P[j])² as `cross_vector` takes it: by np.sum, whose
+    pairwise summation adds fewer than 8 terms left to right, so a short
+    sum can run one coordinate at a time over the whole block."""
+    if P.shape[1] >= 8:
+        return np.sum((P[None, :j1] - P[j0:j1, None]) ** 2, axis=2)
+    acc = P[:j1, 0] - P[j0:j1, 0, None]
+    acc *= acc
+    for k in range(1, P.shape[1]):
+        sq = P[:j1, k] - P[j0:j1, k, None]
+        sq *= sq
+        acc += sq
+    return acc
+
+
+def rescaled_gram(spec: KernelSpec, points, d, probs=None) -> np.ndarray:
+    """The matrix M_ij = k(x_i, x_j)·d_i·d_j that a learner's appends grow
+    over `points` with rescale factors `d`, rebuilt bit for bit; given
+    the members' admission probabilities `probs`, the sampler's weighted
+    M, whose entries gain sw_i·sw_j off the diagonal (sw = √(1/p)) and
+    1/p_j on it.
+
+    Entry (i, j), i < j, is formed as the appends form it: k_ij as
+    `cross_vector(spec, points[:j], points[j])[i]` gives it, times d_i,
+    times d_j (then times sw_i, times sw_j), and is mirrored to (j, i);
+    the diagonal is d_j·d_j (times 1/p_j), since k(x, x) = 1. Gaussian
+    rows are formed in row blocks of at most APPEND_BLOCK_BYTES of
+    coordinate differences, the cosine families row by row."""
+    P = _stack(points)
+    d = np.asarray(d, dtype=np.float64)
+    n = P.shape[0]
+    G = np.zeros((n, n))
+    if n == 0:
+        return G
+    sw = w = None
+    if probs is not None:
+        w = 1.0 / np.asarray(probs, dtype=np.float64)
+        sw = np.sqrt(w)
+    rows = min(n, max(1, APPEND_BLOCK_BYTES // (8 * n * P.shape[1])))
+    upper = ~np.tri(rows, dtype=bool)  # the part of a block's square to mirror
+    for j0 in range(0, n, rows):
+        j1 = min(j0 + rows, n)
+        blk = G[j0:j1, :j1]  # rows j0..j1-1; only columns i < j are kept
+        if spec.family == GAUSSIAN:
+            _gaussian(spec, _sq_dist_rows(P, j0, j1), out=blk)
+        else:
+            for j in range(j0, j1):
+                blk[j - j0, :j] = cross_vector(spec, P[:j], P[j])
+        blk *= d[:j1]
+        blk *= d[j0:j1, None]
+        if sw is not None:
+            blk *= sw[:j1]
+            blk *= sw[j0:j1, None]
+        G[:j0, j0:j1] = blk[:, :j0].T
+        square = G[j0:j1, j0:j1]
+        np.copyto(square, square.T, where=upper[: j1 - j0, : j1 - j0])
+    G.flat[:: n + 1] = d * d if w is None else d * d * w
+    return G
 
 
 def check_point(spec: KernelSpec, x) -> None:

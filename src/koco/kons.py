@@ -21,8 +21,9 @@ import numpy as np
 
 # eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
 # stays because perfbench's tracer hooks its kernels.diag layer on it
-from .kernels import KernelSpec, check_point, cross_vector, eval_kernel  # noqa: F401
-from .linalg import RegularizedInverse, grown
+from .kernels import (KernelSpec, check_point, cross_vector, eval_kernel,  # noqa: F401
+                      rescaled_gram)
+from .linalg import REFRESH_EVERY, RegularizedInverse, grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
 
 ETA_FIXED_SIGMA = "fixed-sigma"
@@ -93,7 +94,9 @@ class NewtonCore:
     (tau, p_accept, accepted) and calls `_admit` for a column that
     enters the preconditioner. The preconditioner `precond` covers the
     rounds in `selected`; kernel rows, b and the cached rescaled-gram @ b
-    cover every round.
+    cover every round. Every REFRESH_EVERY columns the preconditioner is
+    rebuilt from the gram of its rounds, which the core forms anew from
+    `points` and `d_scale`.
     """
 
     def __init__(self, kernel: KernelSpec, cfg, kons_cfg: KonsConfig):
@@ -109,6 +112,7 @@ class NewtonCore:
         self._kbar_b = np.zeros(16)  # cached rescaled-gram @ b
         self._sel = np.zeros(16, dtype=np.intp)  # rounds in the preconditioner
         self._n_sel = 0
+        self.q_floor_clamps = 0  # rounds whose q_t fell below Q_FLOOR
 
     # -- buffers ---------------------------------------------------------
 
@@ -138,8 +142,14 @@ class NewtonCore:
 
     @property
     def refreshes(self) -> int:
-        """Rebuilds of the preconditioner from its tracked matrix so far."""
+        """Rebuilds of the preconditioner so far."""
         return self.precond.refreshes
+
+    def precond_gram(self) -> np.ndarray:
+        """The matrix the preconditioner inverts (less alpha I), rebuilt
+        from the selected rounds bit for bit as their columns entered."""
+        return rescaled_gram(self.kernel, self._cols(self.points),
+                             self._cols(self.d_scale))
 
     @property
     def selected(self) -> np.ndarray:
@@ -200,6 +210,7 @@ class NewtonCore:
         u = self.precond.apply(w)
         q_raw = (kdiag - float(w @ u)) / cfg.alpha
         q = max(q_raw, Q_FLOOR)
+        self.q_floor_clamps += q_raw < Q_FLOOR
         b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / np.sqrt(eta)
 
         if self.t == 0:
@@ -213,6 +224,8 @@ class NewtonCore:
         self._kbar_b[: self.t] += kc * b_t
         self._kbar_b[self.t] = float(kc @ self.b) + kdiag * b_t
         self.t = t_new
+        if accepted and self._n_sel % REFRESH_EVERY == 0:
+            self.precond.refresh(self.precond_gram())
 
         # leverage of the round in its own (post-update) preconditioner:
         # the bordered corner gives q/(1+q) when its column entered, and
@@ -264,4 +277,4 @@ class Kons(NewtonCore):
         """Max-abs deviation of the cached gram@b vector from scratch."""
         if self.t == 0:
             return 0.0
-        return float(np.max(np.abs(self.precond.mat @ self.b - self.kbar_b)))
+        return float(np.max(np.abs(self.precond_gram() @ self.b - self.kbar_b)))

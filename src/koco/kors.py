@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, check_point, cross_vector
-from .linalg import SCHUR_RTOL, RegularizedInverse, grown
+from .kernels import KernelSpec, check_point, cross_vector, rescaled_gram
+from .linalg import REFRESH_EVERY, SCHUR_RTOL, RegularizedInverse, grown
 from .rng import bernoulli, named_rng
 
 
@@ -67,7 +67,9 @@ class KorsStep:
 
 class Dictionary:
     """Sampler state: the members' stream rounds, admission probabilities
-    and kernel data in grown arrays, and the weighted selection inverse."""
+    and kernel data in grown arrays, and the weighted selection inverse.
+    `points`, `d_scale` and `probs` are what the sampler rebuilds the
+    inverse's matrix from at a refresh."""
 
     def __init__(self, alpha: float):
         self.sub_inv = RegularizedInverse(alpha)
@@ -160,7 +162,8 @@ class KorsSampler:
         The coin has probability p = min(beta * score, 1), and an
         admitted point enters with weight 1/p, recorded at its round
         (the count of points scored); its append reuses the score's
-        product inv·cross.
+        product inv·cross. Every REFRESH_EVERY members the inverse is
+        rebuilt from the members' weighted gram.
 
         `cross`, when given, is the members' weighted rescaled column of
         an already checked x, which is then neither checked nor evaluated.
@@ -186,7 +189,15 @@ class KorsSampler:
             sw = np.sqrt(w)
             self.dict.sub_inv.append(cross * sw, kdiag * w, inv_cross=u * sw)
             self.dict.add(x, d_t, self._rounds, p)
+            if len(self.dict) % REFRESH_EVERY == 0:
+                self.dict.sub_inv.refresh(self.precond_gram())
         return KorsStep(tau_tilde=tau, p_tilde=p, accepted=z, size=self.size)
+
+    def precond_gram(self) -> np.ndarray:
+        """The matrix the dictionary's inverse inverts (less alpha I),
+        rebuilt from the members bit for bit as they were appended."""
+        d = self.dict
+        return rescaled_gram(self.kernel, d.points, d.d_scale, d.probs)
 
     def selection_sq_weights(self, horizon: int) -> np.ndarray:
         """Squared selection weights over stream indices 1..horizon."""

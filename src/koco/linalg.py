@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra for the online learners.
 
 Regularized inverses are grown one row/column at a time by Schur
-bordering and periodically rebuilt from the tracked matrix to bound
-drift. An append of order n costs one n×n mat-vec, or none when the
+bordering and periodically rebuilt, to bound drift, from the matrix M
+their owner supplies; an inverse keeps no copy of M, only its own n×n
+buffer. An append of order n costs one n×n mat-vec, or none when the
 caller passes the product (M + alpha I)^{-1}·cross it already has, plus
 an in-place rank-1 update. The inverse's rows sit in one flat buffer at
 a padded row stride, so the update runs over whole contiguous row
@@ -27,7 +28,8 @@ SCHUR_RTOL = 1e-12
 # row block. A block spans whole rows of the padded stride w, not just the
 # order n. With the inverse rows it is added into, a block takes twice
 # this, 1 MiB, which stays within a core's L2 cache: 64 rows at stride
-# 1024, and the whole update in one block up to stride 256.
+# 1024, and the whole update in one block up to stride 256. The gram
+# rebuild of `koco.kernels.rescaled_gram` bounds its row blocks by it too.
 APPEND_BLOCK_BYTES = 512 * 1024
 
 # Row stride of the maintained inverse: an order above ROW_STRIDE_STEP
@@ -147,12 +149,12 @@ class RegularizedInverse:
     """Maintained (M + alpha I)^{-1} for a PSD matrix M grown by appending
     one row/column at a time.
 
-    The tracked matrix is stored alongside the inverse so the state can
-    be audited and rebuilt; every REFRESH_EVERY appends the inverse is
-    recomputed from scratch, which bounds drift over long runs. Appends
-    whose Schur complement falls below SCHUR_RTOL·(diag + alpha) are
-    rejected: a near-singular bordering would silently corrupt every
-    later product.
+    Only the inverse is stored, not M: the owner, which grows M from its
+    own points, rebuilds M and passes it to `refresh` (once every
+    REFRESH_EVERY appends, which bounds drift over long runs) and to
+    `audit`. Appends whose Schur complement falls below
+    SCHUR_RTOL·(diag + alpha) are rejected: a near-singular bordering
+    would silently corrupt every later product.
 
     The inverse's rows lie in one flat buffer at row stride
     w = _row_stride(order); `inv` is its [:n, :n] view, and the padding
@@ -170,10 +172,8 @@ class RegularizedInverse:
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
         self.order = 0
-        self.refreshes = 0  # rebuilds from the tracked matrix so far
-        self._appends = 0
+        self.refreshes = 0  # rebuilds from a supplied matrix so far
         self._cap = 0
-        self._mat = np.zeros((0, 0))
         self._flat = np.zeros(0)      # cap² entries holding the inverse's rows
         self._inv = np.zeros((0, 0))  # _flat as rows of the current stride
         self._upad = np.zeros(0)      # u zero-padded to the stride
@@ -181,29 +181,22 @@ class RegularizedInverse:
     # -- views ---------------------------------------------------------
 
     @property
-    def mat(self) -> np.ndarray:
-        """The tracked PSD matrix M (view, do not mutate)."""
-        return self._mat[: self.order, : self.order]
-
-    @property
     def inv(self) -> np.ndarray:
         """The maintained (M + alpha I)^{-1} (view, do not mutate)."""
         return self._inv[: self.order, : self.order]
 
     def _ensure_capacity(self, n: int) -> None:
-        """Room for order n: M in cap × cap entries and the inverse's rows
-        at stride w = _row_stride(n) in cap²; cap (16 times a power of two,
-        at least n) is a multiple of the stride step, so w <= cap."""
+        """Room for order n: the inverse's rows at stride w = _row_stride(n)
+        in cap² entries; cap (16 times a power of two, at least n) is a
+        multiple of the stride step, so w <= cap."""
         if n <= self._inv.shape[1]:  # orders up to w keep stride w
             return
         order, w = self.order, _row_stride(n)
         if n > self._cap:
             cap = max(16, n, 2 * self._cap)
-            mat = np.zeros((cap, cap))
-            mat[:order, :order] = self.mat
             flat = np.zeros(cap * cap)
             flat[: order * w].reshape(order, w)[:, :order] = self.inv
-            self._mat, self._flat, self._cap = mat, flat, cap
+            self._flat, self._cap = flat, cap
         else:
             # last rows first: a block's new place lies past every row not
             # yet moved, so only the block itself overlaps; copy it via tmp
@@ -260,9 +253,6 @@ class RegularizedInverse:
             raise SchurNotPositive(
                 f"schur complement {s:.3e} below tolerance at order {n}")
         self._ensure_capacity(n + 1)
-        self._mat[:n, n] = cross
-        self._mat[n, :n] = cross
-        self._mat[n, n] = diag
         w = self._inv.shape[1]
         rows = _block_rows(w)
         scratch = np.empty(min(rows, n) * w)
@@ -281,26 +271,31 @@ class RegularizedInverse:
         self._inv[n, :n] = border
         self._inv[n, n] = 1.0 / s
         self.order = n + 1
-        self._appends += 1
-        if self._appends % REFRESH_EVERY == 0:
-            self.refresh()
 
-    def refresh(self) -> None:
-        """Rebuild the inverse from the tracked matrix by column solves.
+    def refresh(self, gram: np.ndarray) -> None:
+        """Rebuild the inverse by column solves from `gram`, the matrix M
+        the appends grew, exactly symmetric and C-ordered; it is consumed.
 
-        The same values as `psd_solve(mat, alpha, eye)`, with two n×n
-        temporaries: M + alpha I, factored in place, and the identity,
-        solved in place."""
+        The same values as `psd_solve(gram, alpha, eye)`, with two n×n
+        temporaries: `gram` plus alpha I, factored in place, and the
+        identity, solved in place."""
         n = self.order
         if n == 0:
             return
-        a = np.eye(n, order="F")
-        a *= self.alpha
-        a += self.mat
+        if gram.shape != (n, n):
+            raise ValueError(f"gram has shape {gram.shape}, expected ({n}, {n})")
+        a = gram.T  # M itself, in Fortran order
+        a += 0.0    # as in psd_solve's M + alpha I, a -0.0 enters as +0.0
+        a.flat[:: n + 1] += self.alpha
         x = scipy.linalg.cho_solve(_cho_factor(a, overwrite=True),
                                    np.eye(n, order="F"), overwrite_b=True,
                                    check_finite=False)
-        self.inv[...] = x
+        # x is column-major and the rows row-major; copied a block of
+        # whole columns at a time, a block's lines stay cached while each
+        # row takes its part
+        cols = _block_rows(n)
+        for c0 in range(0, n, cols):
+            self.inv[:, c0: c0 + cols] = x[:, c0: c0 + cols]
         self.refreshes += 1
 
     # -- products ------------------------------------------------------
@@ -313,10 +308,11 @@ class RegularizedInverse:
 
     # -- bookkeeping ---------------------------------------------------
 
-    def audit(self) -> float:
-        """Max-abs deviation of inv·(M + alpha I) from the identity."""
+    def audit(self, gram: np.ndarray) -> float:
+        """Max-abs deviation of inv·(M + alpha I) from the identity, for M
+        the matrix `gram` the appends grew."""
         n = self.order
         if n == 0:
             return 0.0
-        resid = self.inv @ (self.mat + self.alpha * np.eye(n)) - np.eye(n)
+        resid = self.inv @ (gram + self.alpha * np.eye(n)) - np.eye(n)
         return float(np.max(np.abs(resid)))

@@ -16,7 +16,7 @@ import numpy as np
 from . import harness, kernels, linalg, losses, oracle, streams
 from .kernels import gaussian, gram, linear
 from .kors import KorsSampler, dict_size_bound
-from .linalg import RegularizedInverse, psd_solve
+from .linalg import REFRESH_EVERY, RegularizedInverse, psd_solve
 from .losses import LossEvent, curvature_profile
 from .rng import named_rng
 from .skons import sandwich_audit
@@ -252,7 +252,8 @@ def criterion_7_alternating_adversary():
 
 def criterion_8_matrix_identities():
     """Primal/dual shift-inverse identity at 1e-9 and append-composition
-    at 1e-8 over 100 random instances each."""
+    at 1e-8 over 100 random instances each, one of them of order 600,
+    past the refresh from its matrix at order REFRESH_EVERY."""
     rng = named_rng(8, "criterion-8")
     worst_identity = 0.0
     for _ in range(100):
@@ -270,13 +271,15 @@ def criterion_8_matrix_identities():
 
     worst_compose = 0.0
     for case in range(100):
-        t = int(rng.integers(2, 41)) if case else 200
+        t = int(rng.integers(2, 41)) if case else 600
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
         ri = RegularizedInverse(alpha)
         rows = rng.normal(size=(t, 6))
         M = rows @ rows.T / 6.0
         for j in range(t):
             ri.append(M[:j, j], M[j, j])
+            if ri.order % REFRESH_EVERY == 0:
+                ri.refresh(M[: j + 1, : j + 1].copy())
         direct = psd_solve(M, alpha, np.eye(t))
         worst_compose = max(worst_compose, float(np.max(np.abs(ri.inv - direct))))
     ok = worst_identity <= 1e-9 and worst_compose <= 1e-8

@@ -308,9 +308,10 @@ def test_summary_counts_refreshes(learner, expected):
     run = run_stream(cfg, 0, cfg.events(0))
     summary = summarize_run(cfg, 0, run, None, None)
     assert summary.refreshes == expected
-    assert f"\nrejected_appends=0\nrefreshes={expected}\n" in summary.as_text()
+    assert (f"\nrejected_appends=0\nrefreshes={expected}\nq_floor_clamps=0\n"
+            in summary.as_text())
     if learner == "skons":  # the sampler's rebuilds count too
-        run.kors.dict.sub_inv.refresh()
+        run.kors.dict.sub_inv.refresh(run.kors.precond_gram())
         assert summarize_run(cfg, 0, run, None, None).refreshes == expected + 1
 
 

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from koco.errors import DimensionMismatch, ZeroNormPoint
 from koco.kernels import (FAMILIES, KernelSpec, cross_vector, eval_kernel, gaussian, gram,
-                          linear, polynomial)
+                          linear, polynomial, rescaled_gram)
 from koco.linalg import sym_eigvals
 
 
@@ -70,6 +72,47 @@ def test_cross_vector_matches_elementwise(spec):
     vec = cross_vector(spec, H, x)
     ref = [eval_kernel(spec, h, x) for h in H]
     assert np.max(np.abs(vec - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [gaussian(0.7), linear(), polynomial(3, 0.5)],
+                         ids=["gaussian", "linear", "polynomial"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_rescaled_gram_rows_are_the_cross_vectors(spec, weighted):
+    # row j of the rebuilt gram holds what an append at order j enters:
+    # cross_vector over the earlier points, times d_i, times d_j (then
+    # times √(1/p_i), times √(1/p_j)); at 1 to 16 coordinates, across
+    # row blocks, with zero and negative scales
+    rng = np.random.default_rng(1)
+    for dim in range(1, 17):
+        n = 150 if spec.family == "gaussian" else 40
+        P = rng.normal(size=(n, dim)) * rng.choice([0.2, 1.0, 5.0], size=(n, 1))
+        d = rng.normal(size=n)
+        d[::9] = 0.0
+        probs = rng.uniform(0.05, 1.0, size=n) if weighted else None
+        G = rescaled_gram(spec, P, d, probs)
+        for j in range(n):
+            row = cross_vector(spec, P[:j], P[j]) * d[:j] * d[j]
+            diag = d[j] * d[j]
+            if weighted:
+                row = row * np.sqrt(1.0 / probs[:j]) * np.sqrt(1.0 / probs[j])
+                diag = diag * (1.0 / probs[j])
+            assert np.array_equal(G[j, :j].view(np.int64), row.view(np.int64)), (dim, j)
+            assert np.array_equal(G[:j, j].view(np.int64), row.view(np.int64)), (dim, j)
+            assert G[j, j] == diag
+    assert rescaled_gram(spec, np.zeros((0, 2)), np.zeros(0)).shape == (0, 0)
+
+
+def test_rescaled_gram_blocks_stay_within_the_points():
+    # a row block never spans more rows than there are points, so a gram
+    # of two points allocates a few hundred bytes, not a block's worth
+    P = np.ones((2, 16))
+    tracemalloc.start()
+    try:
+        rescaled_gram(gaussian(), P, np.ones(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_gram_single_and_duplicates():

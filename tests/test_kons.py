@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from koco.kernels import gaussian, gram, linear
 from koco.kons import ETA_FIXED_SIGMA, ETA_INVERSE_SQRT, Kons, KonsConfig, eta_at
+from koco.kors import KorsConfig
+from koco.linalg import REFRESH_EVERY
 from koco.losses import LossEvent, curvature_profile
 from koco.oracle import prefix_rls, primal_ons
+from koco.skons import SketchedKons, SkonsConfig
+from koco.streams import RKHS_TARGET, SyntheticSpec, generate_stream
 
 
 def squared_cfg(C=1.0, alpha=1.0, mode=ETA_FIXED_SIGMA):
@@ -138,6 +144,8 @@ def test_all_zero_coefficients_predict_zero():
         x = rng.normal(size=2)
         learner.step(x, LossEvent(x, "squared", 0.0))  # ybar=0, target 0 -> gdot 0
     assert all(r.ybar == 0.0 for r in learner.records)
+    # q_t is 0 on a zero-derivative round, so each one is floored
+    assert learner.q_floor_clamps == 5
 
 
 def test_predictions_always_clipped():
@@ -157,7 +165,55 @@ def test_state_sizes_agree():
     assert learner.b.shape == (40,)
     assert learner.precond.order == 40
     assert learner.audit_cache() < 1e-8
-    assert learner.precond.audit() < 1e-8
+    assert learner.precond.audit(learner.precond_gram()) < 1e-8
+    assert learner.q_floor_clamps == 0
+
+
+def rkhs_events(seed, T):
+    spec = SyntheticSpec(generator=RKHS_TARGET, input_dim=3, horizon=T,
+                         n_centers=8, noise_sd=0.1, clip_c=1.0)
+    return generate_stream(spec, seed, kernel=gaussian(1.0))
+
+
+@pytest.mark.slow
+def test_audits_hold_past_two_refreshes():
+    # long horizon: each inverse passes the refreshes at orders 512 and
+    # 1024 and stays the inverse of the gram its owner rebuilds; the
+    # sampler's budget admits every round with a nonzero derivative
+    events = rkhs_events(7, 1100)
+    exact = Kons(gaussian(1.0), squared_cfg())
+    sketched = SketchedKons(gaussian(1.0), SkonsConfig(
+        kons=squared_cfg(),
+        kors=KorsConfig(alpha=1.0, epsilon=0.5, beta=1e12, delta=0.1, rng_seed=7),
+        gamma=1.0))
+    for learner in (exact, sketched):
+        run(learner, events)
+    owners = [(exact, exact.precond), (sketched, sketched.precond),
+              (sketched.kors, sketched.kors.dict.sub_inv)]
+    for owner, ri in owners:
+        assert ri.order >= 2 * REFRESH_EVERY
+        assert ri.refreshes == 2
+        assert ri.audit(owner.precond_gram()) <= 1e-8
+    assert exact.audit_cache() <= 1e-8
+
+
+def test_exact_learner_holds_one_square_buffer():
+    # the inverse's rows take cap² entries (cap = 1024 past order 512);
+    # the largest moment adds the old 512² buffer as the rows move to the
+    # new one (1.25 × 8·cap² bytes), and the refresh at order 512 holds
+    # the 512² rows, gram and identity (0.75 ×); a second cap² buffer,
+    # such as a tracked copy of M, makes it 2 × 8·cap² or more
+    events = rkhs_events(0, 700)
+    learner = Kons(gaussian(1.0), squared_cfg())
+    tracemalloc.start()
+    try:
+        run(learner, events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cap = 1024
+    assert learner.precond._cap == cap
+    assert peak < 1.5 * 8 * cap**2
 
 
 def test_eta_schedule_reaches_half_at_round_four():

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from koco.errors import NoConvergence, NotPositiveDefinite, SchurNotPositive
+from koco.kernels import gaussian, linear, polynomial
+from koco.kons import Kons, KonsConfig
+from koco.kors import KorsConfig, KorsSampler
 from koco.linalg import (APPEND_BLOCK_BYTES, REFRESH_EVERY, RegularizedInverse,
                          gram_shift_product, gram_shift_product_direct, psd_solve,
                          sym_eigvals)
+from koco.losses import LossEvent, curvature_profile
+from koco.skons import SketchedKons, SkonsConfig
 
 
 def random_psd(rng, n, rank=None):
@@ -77,6 +82,16 @@ def bordered_reference(inv, cross, diag, alpha):
     return out
 
 
+def refresh_at_the_period(ri, M):
+    """What an owner does after an append: at every REFRESH_EVERY-th order,
+    rebuild the inverse from (a copy of, as refresh consumes it) its M."""
+    n = ri.order
+    if n % REFRESH_EVERY:
+        return False
+    ri.refresh(M[:n, :n].copy())
+    return True
+
+
 @pytest.mark.parametrize("supplied", [False, True], ids=["computed", "supplied"])
 def test_append_is_bit_identical_to_unblocked_formula(supplied):
     # past the first refresh, at orders whose update takes several row blocks
@@ -88,13 +103,13 @@ def test_append_is_bit_identical_to_unblocked_formula(supplied):
     ri = RegularizedInverse(alpha=0.9)
     for j in range(n):
         cross, diag = M[:j, j], M[j, j]
-        if (j + 1) % REFRESH_EVERY == 0:
-            expected = psd_solve(M[: j + 1, : j + 1], 0.9, np.eye(j + 1))
-        else:
-            expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
+        expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
         ri.append(cross, diag, inv_cross=ri.apply(cross) if supplied else None)
         assert np.array_equal(ri.inv, expected), f"order {j + 1}"
-    assert np.array_equal(ri.mat, M)
+        if refresh_at_the_period(ri, M):
+            expected = psd_solve(M[: j + 1, : j + 1], 0.9, np.eye(j + 1))
+            assert np.array_equal(ri.inv, expected), f"refresh at order {j + 1}"
+    assert ri.refreshes == 1
 
 
 @pytest.mark.parametrize("n", [40, 700], ids=["one-block", "restrides"])
@@ -110,12 +125,12 @@ def test_padded_layout_reads_the_unblocked_values(n):
     strides, caps = set(), set()
     for j in range(n):
         cross, diag = M[:j, j], M[j, j]
-        if (j + 1) % REFRESH_EVERY == 0:
-            expected = psd_solve(M[: j + 1, : j + 1], 0.9, np.eye(j + 1))
-        else:
-            expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
+        expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
         ri.append(cross, diag)
         assert np.array_equal(ri.inv, expected), f"order {j + 1}"
+        if refresh_at_the_period(ri, M):
+            expected = psd_solve(M[: j + 1, : j + 1], 0.9, np.eye(j + 1))
+            assert np.array_equal(ri.inv, expected), f"refresh at order {j + 1}"
         assert np.array_equal(ri.apply(v[: j + 1]),
                               np.ascontiguousarray(ri.inv) @ v[: j + 1]), f"order {j + 1}"
         padding = ri._inv[: j + 1, j + 1:]
@@ -185,24 +200,102 @@ def test_non_finite_cross_fails_the_schur_test(bad):
     assert np.array_equal(ri.inv, inv)
 
 
-def test_periodic_refresh_runs():
-    rng = np.random.default_rng(4)
-    ri = RegularizedInverse(alpha=1.0)
+def squared_cfg(alpha=1.0):
+    prof = curvature_profile("squared", 1.0)
+    return KonsConfig(clip_c=1.0, alpha=alpha, sigma=prof.sigma,
+                      lipschitz=prof.lipschitz)
+
+
+def squared_stream(seed, T, zero_rounds=0):
+    """Squared-loss events whose first `zero_rounds` targets are 0: the
+    learners predict 0 there, so those rounds have zero derivative, and
+    the later rounds' entries against them are ±0.0."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(T, 3))
+    ys = rng.uniform(-0.9, 0.9, size=T)
+    ys[:zero_rounds] = 0.0
+    return [LossEvent(x, "squared", float(y)) for x, y in zip(X, ys)]
+
+
+def test_periodic_refresh_runs(monkeypatch):
+    # the owner rebuilds its preconditioner once every REFRESH_EVERY
+    # columns, from the gram of its rounds
     refreshes = []
-    refresh = ri.refresh
+    refresh = RegularizedInverse.refresh
 
-    def counted():
-        refreshes.append(ri.order)
-        refresh()
+    def counted(self, gram):
+        refreshes.append(self.order)
+        refresh(self, gram)
 
-    ri.refresh = counted
-    n = REFRESH_EVERY + 8
-    rows = rng.normal(size=(n, 5))
-    M = rows @ rows.T / 5.0
-    for j in range(n):
-        ri.append(M[:j, j], M[j, j])
+    monkeypatch.setattr(RegularizedInverse, "refresh", counted)
+    learner = Kons(gaussian(1.0), squared_cfg())
+    for ev in squared_stream(4, REFRESH_EVERY + 8):
+        learner.step(ev.point, ev)
     assert refreshes == [REFRESH_EVERY]
-    assert ri.audit() < 1e-10
+    assert learner.refreshes == 1
+    assert learner.precond.audit(learner.precond_gram()) < 1e-10
+
+
+def capture_borders(monkeypatch) -> dict:
+    """Record, per inverse, the border and corner of every append that
+    succeeds."""
+    borders = {}
+    append = RegularizedInverse.append
+
+    def recording(self, cross, diag, inv_cross=None):
+        append(self, cross, diag, inv_cross)
+        borders.setdefault(self, []).append((np.array(cross, dtype=np.float64),
+                                             float(diag)))
+
+    monkeypatch.setattr(RegularizedInverse, "append", recording)
+    return borders
+
+
+def assembled(borders) -> np.ndarray:
+    n = len(borders)
+    M = np.zeros((n, n))
+    for j, (cross, diag) in enumerate(borders):
+        M[:j, j] = cross
+        M[j, :j] = cross
+        M[j, j] = diag
+    return M
+
+
+@pytest.mark.parametrize("kernel", [gaussian(0.8), linear(), polynomial(3, 0.5)],
+                         ids=["gaussian", "linear", "polynomial"])
+def test_rebuilt_gram_equals_the_appended_borders(monkeypatch, kernel):
+    # every owner's rebuilt M is the matrix its appends grew, bit for bit
+    # (the sign of a zero too), so a refresh inverts exactly that matrix
+    borders = capture_borders(monkeypatch)
+    events = squared_stream(11, 300, zero_rounds=6)
+    learners = [Kons(kernel, squared_cfg())] + [
+        SketchedKons(kernel, SkonsConfig(
+            kons=squared_cfg(),
+            kors=KorsConfig(alpha=1.0, epsilon=0.5, beta=30.0, delta=0.1, rng_seed=3),
+            gamma=gamma))
+        for gamma in (0.1, 1.0)]
+    owners = []
+    for learner in learners:
+        for ev in events:
+            learner.step(ev.point, ev)
+        owners.append((learner, learner.precond))
+        if isinstance(learner, SketchedKons):
+            owners.append((learner.kors, learner.kors.dict.sub_inv))
+    sampler = KorsSampler(kernel, KorsConfig(alpha=0.5, epsilon=0.5, beta=30.0,
+                                             delta=0.1, rng_seed=5))
+    d = np.random.default_rng(12).normal(size=len(events))
+    d[:6] = 0.0
+    for ev, d_t in zip(events, d):
+        sampler.step(ev.point, float(d_t))
+    owners.append((sampler, sampler.dict.sub_inv))
+    signed_zeros = 0
+    for owner, ri in owners:
+        M = assembled(borders[ri])
+        assert M.shape[0] == ri.order > 20
+        rebuilt = owner.precond_gram()
+        assert np.array_equal(rebuilt.view(np.int64), M.view(np.int64))
+        signed_zeros += int(np.sum((M == 0.0) & np.signbit(M)))
+    assert signed_zeros > 0
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ for gamma in (0.0, 0.1, 0.3):
     sk = run_stream(replace(cfg, learner="skons", gamma=gamma), SEED, events)
     lo, hi = sandwich_audit(sk)
     print(f"{f'floor {gamma:.1f}':<14} {sum(r.loss for r in sk.records):>10.3f} "
-          f"{len(sk.selected):>8} {tail_us(sk.records):>13.0f} "
+          f"{len(sk.dict):>8} {tail_us(sk.records):>13.0f} "
           f"{f'{lo:.3f} - {hi:.3f}':>16}")
 
 print("\nlarger floors keep more of the preconditioner (tighter sketch, more"

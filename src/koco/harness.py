@@ -264,7 +264,7 @@ class RunSummary:
     final_sampler_size: int
     rejected_appends: int  # sketch appends demoted by a singular Schur complement
     refreshes: int         # inverse rebuilds, learner plus sampler (per REFRESH_EVERY appends)
-    q_floor_clamps: int    # rounds whose q_t was floored at Q_FLOOR
+    q_floor_clamps: int    # nonzero-derivative rounds whose q_t was floored at Q_FLOOR
     mean_step_us: float
     max_step_us: float
     bound_value: float | None = None

@@ -96,10 +96,11 @@ def _stack(history) -> np.ndarray:
 def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     """Vector of k(history[i], x) for every i, in order.
 
-    Entry i reduces over history[i] alone (the inner products go through
-    einsum, not a BLAS product, which takes another path for one row than
-    for many), so the row against part of the history is a gather of the
-    row against all of it."""
+    Entry i reduces over history[i] alone (squared distances one
+    coordinate at a time, inner products through einsum, not a BLAS
+    product, which takes another path for one row than for many), so the
+    row against part of the history is a gather of the row against all
+    of it."""
     x = _check_point(x)
     H = _stack(history)
     if H.shape[0] == 0:
@@ -107,7 +108,7 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     if H.shape[1] != x.shape[0]:
         raise DimensionMismatch(f"coordinate dimensions {H.shape[1]} vs {x.shape[0]}")
     if spec.family == GAUSSIAN:
-        return _gaussian(spec, np.sum((H - x) ** 2, axis=1))
+        return _gaussian(spec, _sq_dists(H, x[None])[0])
     hx = np.einsum("ij,j->i", H, x)
     if spec.family == LINEAR:
         norms = np.sqrt(np.sum(H * H, axis=1))
@@ -130,64 +131,56 @@ def _gaussian(spec: KernelSpec, sq_dists: np.ndarray, out=None) -> np.ndarray:
     return np.exp(sq_dists, out=out)
 
 
-def _sq_dist_rows(P: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """|P[i] - P[j]|² for rows j in j0..j1-1 and columns i < j1, each sum
-    taken over (P[i] - P[j])² as `cross_vector` takes it: by np.sum, whose
-    pairwise summation adds fewer than 8 terms left to right, so a short
-    sum can run one coordinate at a time over the whole block."""
-    if P.shape[1] >= 8:
-        return np.sum((P[None, :j1] - P[j0:j1, None]) ** 2, axis=2)
-    acc = P[:j1, 0] - P[j0:j1, 0, None]
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|A[i] - B[j]|² at [j, i], each sum of (A[i] - B[j])² taken over the
+    coordinates left to right, a coordinate at a time over every pair."""
+    acc = A[:, 0] - B[:, 0, None]
     acc *= acc
-    for k in range(1, P.shape[1]):
-        sq = P[:j1, k] - P[j0:j1, k, None]
+    for k in range(1, A.shape[1]):
+        sq = A[:, k] - B[:, k, None]
         sq *= sq
         acc += sq
     return acc
 
 
-def rescaled_gram(spec: KernelSpec, points, d, probs=None) -> np.ndarray:
-    """The matrix M_ij = k(x_i, x_j)·d_i·d_j that a learner's appends grow
-    over `points` with rescale factors `d`, rebuilt bit for bit; given
-    the members' admission probabilities `probs`, the sampler's weighted
-    M, whose entries gain sw_i·sw_j off the diagonal (sw = √(1/p)) and
-    1/p_j on it.
+def rescaled_gram(spec: KernelSpec, points, d, probs) -> np.ndarray:
+    """The matrix M_ij = k(x_i, x_j)·d_i·d_j·sw_i·sw_j (sw = √(1/p)) that
+    the appends of a `koco.kors.Dictionary` grow over its `points` with
+    rescale factors `d` and admission probabilities `probs`, rebuilt bit
+    for bit.
 
     Entry (i, j), i < j, is formed as the appends form it: k_ij as
     `cross_vector(spec, points[:j], points[j])[i]` gives it, times d_i,
-    times d_j (then times sw_i, times sw_j), and is mirrored to (j, i);
-    the diagonal is d_j·d_j (times 1/p_j), since k(x, x) = 1. Gaussian
-    rows are formed in row blocks of at most APPEND_BLOCK_BYTES of
-    coordinate differences, the cosine families row by row."""
+    times d_j, times sw_i, times sw_j, and is mirrored to (j, i); the
+    diagonal is d_j·d_j·(1/p_j), since k(x, x) = 1. Gaussian rows are
+    formed in row blocks of at most APPEND_BLOCK_BYTES of coordinate
+    differences, the cosine families row by row."""
     P = _stack(points)
     d = np.asarray(d, dtype=np.float64)
     n = P.shape[0]
     G = np.zeros((n, n))
     if n == 0:
         return G
-    sw = w = None
-    if probs is not None:
-        w = 1.0 / np.asarray(probs, dtype=np.float64)
-        sw = np.sqrt(w)
+    w = 1.0 / np.asarray(probs, dtype=np.float64)
+    sw = np.sqrt(w)
     rows = min(n, max(1, APPEND_BLOCK_BYTES // (8 * n * P.shape[1])))
     upper = ~np.tri(rows, dtype=bool)  # the part of a block's square to mirror
     for j0 in range(0, n, rows):
         j1 = min(j0 + rows, n)
         blk = G[j0:j1, :j1]  # rows j0..j1-1; only columns i < j are kept
         if spec.family == GAUSSIAN:
-            _gaussian(spec, _sq_dist_rows(P, j0, j1), out=blk)
+            _gaussian(spec, _sq_dists(P[:j1], P[j0:j1]), out=blk)
         else:
             for j in range(j0, j1):
                 blk[j - j0, :j] = cross_vector(spec, P[:j], P[j])
         blk *= d[:j1]
         blk *= d[j0:j1, None]
-        if sw is not None:
-            blk *= sw[:j1]
-            blk *= sw[j0:j1, None]
+        blk *= sw[:j1]
+        blk *= sw[j0:j1, None]
         G[:j0, j0:j1] = blk[:, :j0].T
         square = G[j0:j1, j0:j1]
         np.copyto(square, square.T, where=upper[: j1 - j0, : j1 - j0])
-    G.flat[:: n + 1] = d * d if w is None else d * d * w
+    G.flat[:: n + 1] = d * d * w
     return G
 
 

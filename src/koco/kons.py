@@ -21,9 +21,9 @@ import numpy as np
 
 # eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
 # stays because perfbench's tracer hooks its kernels.diag layer on it
-from .kernels import (KernelSpec, check_point, cross_vector, eval_kernel,  # noqa: F401
-                      rescaled_gram)
-from .linalg import REFRESH_EVERY, RegularizedInverse, grown
+from .kernels import KernelSpec, check_point, cross_vector, eval_kernel  # noqa: F401
+from .kors import Dictionary
+from .linalg import grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
 
 ETA_FIXED_SIGMA = "fixed-sigma"
@@ -91,12 +91,12 @@ class NewtonCore:
     coefficients b and the preconditioner, folds the observed derivative
     into one new coefficient, and offers the round's rescaled kernel
     column to the subclass's `_select`. That hook returns the record's
-    (tau, p_accept, accepted) and calls `_admit` for a column that
-    enters the preconditioner. The preconditioner `precond` covers the
-    rounds in `selected`; kernel rows, b and the cached rescaled-gram @ b
-    cover every round. Every REFRESH_EVERY columns the preconditioner is
-    rebuilt from the gram of its rounds, which the core forms anew from
-    `points` and `d_scale`.
+    (tau, p_accept, accepted) and admits a column that enters the
+    preconditioner. The preconditioner is a `Dictionary`, `dict`, whose
+    members are the selected rounds at probability 1 (so at weight one);
+    it refreshes its inverse from its members' gram every REFRESH_EVERY
+    columns. Kernel rows, b and the cached rescaled-gram @ b cover every
+    round.
     """
 
     def __init__(self, kernel: KernelSpec, cfg, kons_cfg: KonsConfig):
@@ -105,14 +105,12 @@ class NewtonCore:
         self.t = 0
         self.records: list[StepRecord] = []
         self._kcfg = kons_cfg
-        self.precond = RegularizedInverse(kons_cfg.alpha)
+        self.dict = Dictionary(kernel, kons_cfg.alpha)
         self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first round
         self._d = np.zeros(16)       # gdot_i * sqrt(eta_i)
         self._b = np.zeros(16)       # dual coefficients
         self._kbar_b = np.zeros(16)  # cached rescaled-gram @ b
-        self._sel = np.zeros(16, dtype=np.intp)  # rounds in the preconditioner
-        self._n_sel = 0
-        self.q_floor_clamps = 0  # rounds whose q_t fell below Q_FLOOR
+        self.q_floor_clamps = 0  # nonzero-derivative rounds whose q_t fell below Q_FLOOR
 
     # -- buffers ---------------------------------------------------------
 
@@ -122,7 +120,6 @@ class NewtonCore:
         self._d = grown(self._d, n, t)
         self._b = grown(self._b, n, t)
         self._kbar_b = grown(self._kbar_b, n, t)
-        self._sel = grown(self._sel, n, self._n_sel)
 
     @property
     def points(self) -> np.ndarray:
@@ -143,26 +140,15 @@ class NewtonCore:
     @property
     def refreshes(self) -> int:
         """Rebuilds of the preconditioner so far."""
-        return self.precond.refreshes
-
-    def precond_gram(self) -> np.ndarray:
-        """The matrix the preconditioner inverts (less alpha I), rebuilt
-        from the selected rounds bit for bit as their columns entered."""
-        return rescaled_gram(self.kernel, self._cols(self.points),
-                             self._cols(self.d_scale))
-
-    @property
-    def selected(self) -> np.ndarray:
-        """0-based rounds whose column is in the preconditioner."""
-        return self._sel[: self._n_sel]
+        return self.dict.inverse.refreshes
 
     def _cols(self, v: np.ndarray) -> np.ndarray:
         """v restricted to the preconditioner's rounds."""
-        # selected rounds are distinct and increasing, so t of them are
+        # member rounds are distinct and increasing, so t of them are
         # 0..t-1 and v is its own restriction
-        if self._n_sel == self.t:
+        if len(self.dict) == self.t:
             return v
-        return v[self.selected]
+        return v[self.dict.indices]
 
     # -- prediction ------------------------------------------------------
 
@@ -180,7 +166,7 @@ class NewtonCore:
         if self.t == 0:
             return 0.0, 0.0
         kd = k * self.d_scale
-        corr = self._cols(kd) @ self.precond.apply(self._cols(self.kbar_b))
+        corr = self._cols(kd) @ self.dict.inverse.apply(self._cols(self.kbar_b))
         ybar = (float(kd @ self.b) - float(corr)) / self._kcfg.alpha
         return ybar, clip_to_interval(ybar, self._kcfg.clip_c)
 
@@ -207,10 +193,12 @@ class NewtonCore:
         kc = k * self.d_scale * d_t
         kdiag = d_t * d_t
         w = self._cols(kc)
-        u = self.precond.apply(w)
+        u = self.dict.inverse.apply(w)
         q_raw = (kdiag - float(w @ u)) / cfg.alpha
         q = max(q_raw, Q_FLOOR)
-        self.q_floor_clamps += q_raw < Q_FLOOR
+        # a clamp counts where it changes b_t: at d_t = 0 the term
+        # d_t * (ybar - yhat) / q below is 0 whatever q is
+        self.q_floor_clamps += d_t != 0.0 and q_raw < Q_FLOOR
         b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / np.sqrt(eta)
 
         if self.t == 0:
@@ -224,8 +212,6 @@ class NewtonCore:
         self._kbar_b[: self.t] += kc * b_t
         self._kbar_b[self.t] = float(kc @ self.b) + kdiag * b_t
         self.t = t_new
-        if accepted and self._n_sel % REFRESH_EVERY == 0:
-            self.precond.refresh(self.precond_gram())
 
         # leverage of the round in its own (post-update) preconditioner:
         # the bordered corner gives q/(1+q) when its column entered, and
@@ -236,7 +222,7 @@ class NewtonCore:
         rec = StepRecord(t=t_new, ybar=ybar, yhat=yhat,
                          loss=loss_value(ev, yhat), gdot=gdot, eta=eta,
                          tau=tau, p_accept=p_accept, accepted=accepted,
-                         dict_size=self._n_sel, rg_increment=rg_inc)
+                         dict_size=len(self.dict), rg_increment=rg_inc)
         rec.elapsed_us = (time.perf_counter_ns() - tic) / 1e3
         self.records.append(rec)
         return rec
@@ -246,13 +232,8 @@ class NewtonCore:
         """(tau, p_accept, accepted) of the round whose rescaled row over
         every past round is kc, restricted column w, with preconditioner
         product u, and corner kdiag; admits the column when it is
-        accepted."""
+        accepted (`dict.admit` at probability 1)."""
         raise NotImplementedError
-
-    def _admit(self, w: np.ndarray, u: np.ndarray, kdiag: float) -> None:
-        self.precond.append(w, kdiag, inv_cross=u)
-        self._sel[self._n_sel] = self.t
-        self._n_sel += 1
 
 
 class Kons(NewtonCore):
@@ -267,7 +248,7 @@ class Kons(NewtonCore):
 
     def _select(self, x, d_t, kc, w, u, kdiag, q_raw):
         # a singular append raises SchurNotPositive and aborts the round
-        self._admit(w, u, kdiag)
+        self.dict.admit(x, d_t, self.t, 1.0, w, kdiag, u)
         q_pos = max(q_raw, 0.0)
         return q_pos / (1.0 + q_pos), 1.0, 1
 
@@ -277,4 +258,4 @@ class Kons(NewtonCore):
         """Max-abs deviation of the cached gram@b vector from scratch."""
         if self.t == 0:
             return 0.0
-        return float(np.max(np.abs(self.precond_gram() @ self.b - self.kbar_b)))
+        return float(np.max(np.abs(self.dict.gram() @ self.b - self.kbar_b)))

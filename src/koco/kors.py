@@ -1,11 +1,11 @@
 """Streaming kernel row sampling driven by online ridge-leverage scores.
 
-The sampler keeps a dictionary of (round, weight) pairs. Each round the
-incoming point is scored against the dictionary augmented with itself at
-weight one, the score is inflated by (1+eps) so it over-estimates the
-true leverage, and a Bernoulli coin with probability min(beta*score, 1)
-decides whether the point joins the dictionary with importance weight
-1/probability.
+The sampler keeps a dictionary of (stream index, weight) pairs. Each
+round the incoming point is scored against the dictionary augmented with
+itself at weight one, the score is inflated by (1+eps) so it
+over-estimates the true leverage, and a Bernoulli coin with probability
+min(beta*score, 1) decides whether the point joins the dictionary with
+importance weight 1/probability.
 """
 
 from __future__ import annotations
@@ -66,18 +66,22 @@ class KorsStep:
 
 
 class Dictionary:
-    """Sampler state: the members' stream rounds, admission probabilities
-    and kernel data in grown arrays, and the weighted selection inverse.
-    `points`, `d_scale` and `probs` are what the sampler rebuilds the
-    inverse's matrix from at a refresh."""
+    """A selected column set: the members' 0-based stream indices,
+    admission probabilities p, points and rescale factors d in grown
+    arrays, and the regularized inverse of their weighted rescaled gram
+    M_ij = k(x_i, x_j)·d_i·d_j·√(1/p_i)·√(1/p_j) (1/p_j·d_j² on the
+    diagonal). The sampler's dictionary holds each member at its
+    admission probability; the Newton-step learners' preconditioner is
+    the same store with p = 1 for every member."""
 
-    def __init__(self, alpha: float):
-        self.sub_inv = RegularizedInverse(alpha)
+    def __init__(self, kernel: KernelSpec, alpha: float):
+        self.kernel = kernel
+        self.inverse = RegularizedInverse(alpha)
         self._n = 0
         self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first member
         self._d = np.zeros(16)
         self._sw = np.zeros(16)
-        self._r = np.zeros(16, dtype=np.intp)
+        self._i = np.zeros(16, dtype=np.intp)
         self._p = np.zeros(16)
 
     def __len__(self):
@@ -97,30 +101,60 @@ class Dictionary:
         return self._sw[: self._n]
 
     @property
-    def rounds(self) -> np.ndarray:
-        """1-based stream round of each member."""
-        return self._r[: self._n]
+    def indices(self) -> np.ndarray:
+        """0-based stream index of each member, increasing."""
+        return self._i[: self._n]
 
     @property
     def probs(self) -> np.ndarray:
         """Acceptance probability of each member at its admission."""
         return self._p[: self._n]
 
-    def add(self, x: np.ndarray, d_t: float, index: int, prob: float) -> None:
+    def admit(self, x: np.ndarray, d_t: float, index: int, prob: float,
+              cross: np.ndarray, kdiag: float, inv_cross: np.ndarray) -> None:
+        """Append the column of x (its rescaled kernel column `cross`
+        against the members, corner `kdiag`, and the product `inv_cross`
+        of the inverse with `cross`) weighted by 1/prob, and record the
+        member. A singular append raises SchurNotPositive and leaves the
+        store as it was. Every REFRESH_EVERY members the inverse is
+        rebuilt from `gram()`.
+
+        The weight w = 1/prob scales the border by √w and the corner by
+        w; the product scaled by √w stands for inv·(cross·√w), which it
+        equals up to rounding. At prob = 1 each scaling multiplies by 1.0
+        and leaves every bit."""
+        w = 1.0 / prob
+        sw = np.sqrt(w)
+        self.inverse.append(cross * sw, kdiag * w, inv_cross=inv_cross * sw)
         n = self._n
         if n == 0:
             self._pts = np.zeros((16, x.shape[0]))
         self._pts = grown(self._pts, n + 1, n)
         self._d = grown(self._d, n + 1, n)
         self._sw = grown(self._sw, n + 1, n)
-        self._r = grown(self._r, n + 1, n)
+        self._i = grown(self._i, n + 1, n)
         self._p = grown(self._p, n + 1, n)
         self._pts[n] = x
         self._d[n] = d_t
-        self._sw[n] = np.sqrt(1.0 / prob)
-        self._r[n] = index
+        self._sw[n] = sw
+        self._i[n] = index
         self._p[n] = prob
         self._n = n + 1
+        if self._n % REFRESH_EVERY == 0:
+            self.inverse.refresh(self.gram())
+
+    def gram(self) -> np.ndarray:
+        """The matrix M the inverse inverts (less alpha I), rebuilt from
+        the members bit for bit as their columns were appended."""
+        return rescaled_gram(self.kernel, self.points, self.d_scale, self.probs)
+
+    def selection_sq_weights(self, horizon: int) -> np.ndarray:
+        """Squared selection weights 1/p over stream indices 0..horizon-1
+        (0 at the indices of no member)."""
+        w = np.zeros(horizon)
+        keep = self.indices < horizon
+        w[self.indices[keep]] = 1.0 / self.probs[keep]
+        return w
 
 
 class KorsSampler:
@@ -135,7 +169,7 @@ class KorsSampler:
     def __init__(self, kernel: KernelSpec, cfg: KorsConfig):
         self.kernel = kernel
         self.cfg = cfg
-        self.dict = Dictionary(cfg.alpha)
+        self.dict = Dictionary(kernel, cfg.alpha)
         self._rng = named_rng(cfg.rng_seed, "kors-coins")
         self._rounds = 0  # points scored so far
 
@@ -160,10 +194,9 @@ class KorsSampler:
         never materialized. A singular s (at or below SCHUR_RTOL·(k(x,x)
         + alpha): x is already spanned by the weighted members) scores 0.
         The coin has probability p = min(beta * score, 1), and an
-        admitted point enters with weight 1/p, recorded at its round
-        (the count of points scored); its append reuses the score's
-        product inv·cross. Every REFRESH_EVERY members the inverse is
-        rebuilt from the members' weighted gram.
+        admitted point enters the dictionary with weight 1/p at its
+        0-based stream index (the count of points scored before it); its
+        append reuses the score's product inv·cross.
 
         `cross`, when given, is the members' weighted rescaled column of
         an already checked x, which is then neither checked nor evaluated.
@@ -173,35 +206,15 @@ class KorsSampler:
             if not np.isfinite(x).all():
                 raise ValueError(f"round {self._rounds + 1}: point contains NaN/Inf")
             cross = self._member_column(x, d_t)
+        index = self._rounds
         self._rounds += 1
         kdiag = d_t * d_t  # k(x, x) = 1 for every kernel in koco.kernels
-        s, u = self.dict.sub_inv.schur_complement(cross, kdiag)
+        s, u = self.dict.inverse.schur_complement(cross, kdiag)
         tau = 0.0
         if s > SCHUR_RTOL * (kdiag + self.cfg.alpha):
             tau = float(max((1.0 + self.cfg.epsilon) * (1.0 - self.cfg.alpha / s), 0.0))
         p = min(self.cfg.beta * tau, 1.0)
         z = bernoulli(self._rng, p)  # drawn at p = 0 too: one draw per point
         if z:
-            w = 1.0 / p
-            # fold the admission weight into the appended row/column; the
-            # score's product scaled by √w stands for inv·(cross·√w), which
-            # it equals up to rounding
-            sw = np.sqrt(w)
-            self.dict.sub_inv.append(cross * sw, kdiag * w, inv_cross=u * sw)
-            self.dict.add(x, d_t, self._rounds, p)
-            if len(self.dict) % REFRESH_EVERY == 0:
-                self.dict.sub_inv.refresh(self.precond_gram())
+            self.dict.admit(x, d_t, index, p, cross, kdiag, u)
         return KorsStep(tau_tilde=tau, p_tilde=p, accepted=z, size=self.size)
-
-    def precond_gram(self) -> np.ndarray:
-        """The matrix the dictionary's inverse inverts (less alpha I),
-        rebuilt from the members bit for bit as they were appended."""
-        d = self.dict
-        return rescaled_gram(self.kernel, d.points, d.d_scale, d.probs)
-
-    def selection_sq_weights(self, horizon: int) -> np.ndarray:
-        """Squared selection weights over stream indices 1..horizon."""
-        w = np.zeros(horizon)
-        keep = self.dict.rounds <= horizon
-        w[self.dict.rounds[keep] - 1] = 1.0 / self.dict.probs[keep]
-        return w

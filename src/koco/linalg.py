@@ -2,8 +2,8 @@
 
 Regularized inverses are grown one row/column at a time by Schur
 bordering and periodically rebuilt, to bound drift, from the matrix M
-their owner supplies; an inverse keeps no copy of M, only its own n×n
-buffer. An append of order n costs one n×n mat-vec, or none when the
+that their owner, a `koco.kors.Dictionary`, rebuilds from its members;
+an inverse keeps no copy of M, only its own n×n buffer. An append of order n costs one n×n mat-vec, or none when the
 caller passes the product (M + alpha I)^{-1}·cross it already has, plus
 an in-place rank-1 update. The inverse's rows sit in one flat buffer at
 a padded row stride, so the update runs over whole contiguous row
@@ -149,10 +149,10 @@ class RegularizedInverse:
     """Maintained (M + alpha I)^{-1} for a PSD matrix M grown by appending
     one row/column at a time.
 
-    Only the inverse is stored, not M: the owner, which grows M from its
-    own points, rebuilds M and passes it to `refresh` (once every
-    REFRESH_EVERY appends, which bounds drift over long runs) and to
-    `audit`. Appends whose Schur complement falls below
+    Only the inverse is stored, not M: the owning `koco.kors.Dictionary`,
+    which grows M from its members, rebuilds M and passes it to `refresh`
+    (once every REFRESH_EVERY appends, which bounds drift over long runs)
+    and to `audit`. Appends whose Schur complement falls below
     SCHUR_RTOL·(diag + alpha) are rejected: a near-singular bordering
     would silently corrupt every later product.
 

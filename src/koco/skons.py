@@ -67,18 +67,18 @@ class SketchedKons(NewtonCore):
     @property
     def refreshes(self) -> int:
         """Rebuilds of the sketch and of the sampler's inverse so far."""
-        return self.precond.refreshes + self.kors.dict.sub_inv.refreshes
+        return self.dict.inverse.refreshes + self.kors.dict.inverse.refreshes
 
     def _select(self, x, d_t, kc, w, u, kdiag, q_raw):
         # independent sampler: only its leverage estimate crosses over; its
         # members are past rounds, so their column is gathered from kc
         members = self.kors.dict
-        kres = self.kors.step(x, d_t, cross=kc[members.rounds - 1] * members.sweights)
+        kres = self.kors.step(x, d_t, cross=kc[members.indices] * members.sweights)
         p = max(min(self.cfg.kors.beta * kres.tau_tilde, 1.0), self.cfg.gamma)
         accepted = bernoulli(self._coin_rng, p)
         if accepted:
             try:
-                self._admit(w, u, kdiag)
+                self.dict.admit(x, d_t, self.t, 1.0, w, kdiag, u)
             except SchurNotPositive:
                 # a dropped column costs regret, never correctness
                 self.rejected_appends += 1
@@ -99,9 +99,7 @@ def sandwich_audit(learner: SketchedKons, upto: int | None = None) -> tuple[floa
     alpha = learner.cfg.kons.alpha
     D = learner.d_scale[:t]
     Kbar = gram(learner.kernel, learner.points[:t]) * np.outer(D, D)
-    sel = learner.selected
-    sq = np.zeros(t)
-    sq[sel[sel < t]] = 1.0
+    sq = learner.dict.selection_sq_weights(t)
     exact = Kbar + alpha * np.eye(t)
     sketch = oracle.dual_preconditioner(Kbar, sq, alpha)
     return oracle.spectral_audit(exact, sketch)

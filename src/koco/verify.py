@@ -124,7 +124,7 @@ def criterion_3_sampler_guarantees():
             if res.size > size_caps[t - 1] + 1e-9:
                 size = False
             if t in checkpoints:
-                snapshots[t] = sampler.selection_sq_weights(t)
+                snapshots[t] = sampler.dict.selection_sq_weights(t)
         for cp, sq in snapshots.items():
             R = roots[cp]
             sketch = R @ (sq[:, None] * R) + alpha * np.eye(cp)

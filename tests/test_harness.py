@@ -311,7 +311,7 @@ def test_summary_counts_refreshes(learner, expected):
     assert (f"\nrejected_appends=0\nrefreshes={expected}\nq_floor_clamps=0\n"
             in summary.as_text())
     if learner == "skons":  # the sampler's rebuilds count too
-        run.kors.dict.sub_inv.refresh(run.kors.precond_gram())
+        run.kors.dict.inverse.refresh(run.kors.dict.gram())
         assert summarize_run(cfg, 0, run, None, None).refreshes == expected + 1
 
 

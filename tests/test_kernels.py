@@ -88,18 +88,16 @@ def test_rescaled_gram_rows_are_the_cross_vectors(spec, weighted):
         P = rng.normal(size=(n, dim)) * rng.choice([0.2, 1.0, 5.0], size=(n, 1))
         d = rng.normal(size=n)
         d[::9] = 0.0
-        probs = rng.uniform(0.05, 1.0, size=n) if weighted else None
+        probs = rng.uniform(0.05, 1.0, size=n) if weighted else np.ones(n)
         G = rescaled_gram(spec, P, d, probs)
         for j in range(n):
             row = cross_vector(spec, P[:j], P[j]) * d[:j] * d[j]
-            diag = d[j] * d[j]
-            if weighted:
-                row = row * np.sqrt(1.0 / probs[:j]) * np.sqrt(1.0 / probs[j])
-                diag = diag * (1.0 / probs[j])
+            row = row * np.sqrt(1.0 / probs[:j]) * np.sqrt(1.0 / probs[j])
+            diag = d[j] * d[j] * (1.0 / probs[j])
             assert np.array_equal(G[j, :j].view(np.int64), row.view(np.int64)), (dim, j)
             assert np.array_equal(G[:j, j].view(np.int64), row.view(np.int64)), (dim, j)
             assert G[j, j] == diag
-    assert rescaled_gram(spec, np.zeros((0, 2)), np.zeros(0)).shape == (0, 0)
+    assert rescaled_gram(spec, np.zeros((0, 2)), np.zeros(0), np.zeros(0)).shape == (0, 0)
 
 
 def test_rescaled_gram_blocks_stay_within_the_points():
@@ -108,7 +106,7 @@ def test_rescaled_gram_blocks_stay_within_the_points():
     P = np.ones((2, 16))
     tracemalloc.start()
     try:
-        rescaled_gram(gaussian(), P, np.ones(2))
+        rescaled_gram(gaussian(), P, np.ones(2), np.ones(2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

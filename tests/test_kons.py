@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from koco import kons
 from koco.kernels import gaussian, gram, linear
 from koco.kons import ETA_FIXED_SIGMA, ETA_INVERSE_SQRT, Kons, KonsConfig, eta_at
 from koco.kors import KorsConfig
@@ -144,8 +145,21 @@ def test_all_zero_coefficients_predict_zero():
         x = rng.normal(size=2)
         learner.step(x, LossEvent(x, "squared", 0.0))  # ybar=0, target 0 -> gdot 0
     assert all(r.ybar == 0.0 for r in learner.records)
-    # q_t is 0 on a zero-derivative round, so each one is floored
-    assert learner.q_floor_clamps == 5
+    # q_t is 0 on a zero-derivative round, where the floor changes nothing
+    assert learner.q_floor_clamps == 0
+
+
+def test_q_floor_clamps_count_nonzero_derivative_rounds(monkeypatch):
+    # a floor above every q_t clamps each round, but only the rounds with
+    # a nonzero derivative count
+    monkeypatch.setattr(kons, "Q_FLOOR", 1e6)
+    _, events = unit_feature_stream(7, 30)
+    events[:4] = [LossEvent(ev.point, "squared", 0.0) for ev in events[:4]]
+    learner = Kons(gaussian(1.0), squared_cfg())
+    run(learner, events)
+    nonzero = sum(r.gdot != 0.0 for r in learner.records)
+    assert 0 < nonzero < len(events)
+    assert learner.q_floor_clamps == nonzero
 
 
 def test_predictions_always_clipped():
@@ -163,9 +177,9 @@ def test_state_sizes_agree():
     assert learner.points.shape == (40, 5)
     assert learner.d_scale.shape == (40,)
     assert learner.b.shape == (40,)
-    assert learner.precond.order == 40
+    assert learner.dict.inverse.order == len(learner.dict) == 40
     assert learner.audit_cache() < 1e-8
-    assert learner.precond.audit(learner.precond_gram()) < 1e-8
+    assert learner.dict.inverse.audit(learner.dict.gram()) < 1e-8
     assert learner.q_floor_clamps == 0
 
 
@@ -188,12 +202,10 @@ def test_audits_hold_past_two_refreshes():
         gamma=1.0))
     for learner in (exact, sketched):
         run(learner, events)
-    owners = [(exact, exact.precond), (sketched, sketched.precond),
-              (sketched.kors, sketched.kors.dict.sub_inv)]
-    for owner, ri in owners:
-        assert ri.order >= 2 * REFRESH_EVERY
-        assert ri.refreshes == 2
-        assert ri.audit(owner.precond_gram()) <= 1e-8
+    for store in (exact.dict, sketched.dict, sketched.kors.dict):
+        assert store.inverse.order >= 2 * REFRESH_EVERY
+        assert store.inverse.refreshes == 2
+        assert store.inverse.audit(store.gram()) <= 1e-8
     assert exact.audit_cache() <= 1e-8
 
 
@@ -212,7 +224,7 @@ def test_exact_learner_holds_one_square_buffer():
     finally:
         tracemalloc.stop()
     cap = 1024
-    assert learner.precond._cap == cap
+    assert learner.dict.inverse._cap == cap
     assert peak < 1.5 * 8 * cap**2
 
 

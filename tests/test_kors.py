@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from koco.errors import ZeroNormPoint
+from koco.errors import SchurNotPositive, ZeroNormPoint
 from koco.kernels import gaussian, gram, linear
-from koco.kors import (KorsConfig, KorsSampler, dict_size_bound, required_budget)
+from koco.kors import (Dictionary, KorsConfig, KorsSampler, dict_size_bound,
+                       required_budget)
 from koco.oracle import prefix_rls
 from koco.rng import bernoulli, named_rng
 
@@ -104,7 +105,7 @@ def test_zero_first_point_is_rejected_in_its_round():
     fresh = KorsSampler(linear(), make_cfg(beta=10.0))
     for x in ([1.0, 0.5], [0.3, 0.2]):
         assert s.step(np.array(x)) == fresh.step(np.array(x))
-    assert list(s.dict.rounds) == list(fresh.dict.rounds)
+    assert list(s.dict.indices) == list(fresh.dict.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +155,21 @@ def test_weights_are_inverse_probabilities():
         assert 0.0 < prob <= 1.0
 
 
+def test_singular_admit_leaves_the_store_unchanged():
+    # at alpha 1e-13 a second copy of the member is spanned by it: its
+    # Schur complement is below SCHUR_RTOL, and the store keeps its member
+    # and its inverse at that member's order
+    store = Dictionary(gaussian(1.0), 1e-13)
+    x = np.ones(2)
+    store.admit(x, 1.0, 0, 1.0, np.zeros(0), 1.0, np.zeros(0))
+    cross = np.ones(1)
+    with pytest.raises(SchurNotPositive):
+        store.admit(x, 1.0, 1, 0.5, cross, 1.0, store.inverse.apply(cross))
+    assert len(store) == store.inverse.order == 1
+    assert list(store.indices) == [0] and list(store.probs) == [1.0]
+    assert store.gram().shape == (1, 1)
+
+
 def test_same_seed_reproduces_dictionary():
     pts = np.random.default_rng(5).normal(size=(100, 2))
     outs = []
@@ -161,7 +177,7 @@ def test_same_seed_reproduces_dictionary():
         s = KorsSampler(gaussian(1.0), make_cfg(rng_seed=11, beta=10.0))
         for p in pts:
             s.step(p)
-        outs.append(list(zip(s.dict.rounds, s.dict.sweights, s.dict.probs)))
+        outs.append(list(zip(s.dict.indices, s.dict.sweights, s.dict.probs)))
     assert outs[0] == outs[1]
 
 

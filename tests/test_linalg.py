@@ -233,7 +233,7 @@ def test_periodic_refresh_runs(monkeypatch):
         learner.step(ev.point, ev)
     assert refreshes == [REFRESH_EVERY]
     assert learner.refreshes == 1
-    assert learner.precond.audit(learner.precond_gram()) < 1e-10
+    assert learner.dict.inverse.audit(learner.dict.gram()) < 1e-10
 
 
 def capture_borders(monkeypatch) -> dict:
@@ -264,7 +264,7 @@ def assembled(borders) -> np.ndarray:
 @pytest.mark.parametrize("kernel", [gaussian(0.8), linear(), polynomial(3, 0.5)],
                          ids=["gaussian", "linear", "polynomial"])
 def test_rebuilt_gram_equals_the_appended_borders(monkeypatch, kernel):
-    # every owner's rebuilt M is the matrix its appends grew, bit for bit
+    # every store's rebuilt M is the matrix its appends grew, bit for bit
     # (the sign of a zero too), so a refresh inverts exactly that matrix
     borders = capture_borders(monkeypatch)
     events = squared_stream(11, 300, zero_rounds=6)
@@ -274,25 +274,25 @@ def test_rebuilt_gram_equals_the_appended_borders(monkeypatch, kernel):
             kors=KorsConfig(alpha=1.0, epsilon=0.5, beta=30.0, delta=0.1, rng_seed=3),
             gamma=gamma))
         for gamma in (0.1, 1.0)]
-    owners = []
+    stores = []
     for learner in learners:
         for ev in events:
             learner.step(ev.point, ev)
-        owners.append((learner, learner.precond))
+        stores.append(learner.dict)
         if isinstance(learner, SketchedKons):
-            owners.append((learner.kors, learner.kors.dict.sub_inv))
+            stores.append(learner.kors.dict)
     sampler = KorsSampler(kernel, KorsConfig(alpha=0.5, epsilon=0.5, beta=30.0,
                                              delta=0.1, rng_seed=5))
     d = np.random.default_rng(12).normal(size=len(events))
     d[:6] = 0.0
     for ev, d_t in zip(events, d):
         sampler.step(ev.point, float(d_t))
-    owners.append((sampler, sampler.dict.sub_inv))
+    stores.append(sampler.dict)
     signed_zeros = 0
-    for owner, ri in owners:
-        M = assembled(borders[ri])
-        assert M.shape[0] == ri.order > 20
-        rebuilt = owner.precond_gram()
+    for store in stores:
+        M = assembled(borders[store.inverse])
+        assert M.shape[0] == store.inverse.order == len(store) > 20
+        rebuilt = store.gram()
         assert np.array_equal(rebuilt.view(np.int64), M.view(np.int64))
         signed_zeros += int(np.sum((M == 0.0) & np.signbit(M)))
     assert signed_zeros > 0

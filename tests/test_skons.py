@@ -97,7 +97,7 @@ def test_probability_floor_applies_only_to_learner():
     # ... the embedded sampler's dictionary is not: on a repeated point its
     # admission probabilities drop well below the floor
     assert min(sketch.kors.dict.probs) < gamma
-    assert len(sketch.kors.dict) < len(sketch.selected)
+    assert len(sketch.kors.dict) < len(sketch.dict)
 
 
 def test_upper_domination_deterministic():
@@ -119,7 +119,7 @@ def test_no_acceptances_gives_alpha_identity_sketch():
     events = stream(5, 40, noise_sd=0.2)
     sketch = SketchedKons(gaussian(1.0), sketch_cfg(0.0, beta=1e-9))
     run(sketch, events)
-    assert len(sketch.selected) == 0
+    assert len(sketch.dict) == 0
     lo, hi = sandwich_audit(sketch)
     D = sketch.d_scale
     Kbar = gram(gaussian(1.0), sketch.points) * np.outer(D, D)
@@ -152,8 +152,13 @@ def test_support_never_exceeds_acceptances():
     events = stream(8, 150)
     sketch = SketchedKons(gaussian(1.0), sketch_cfg(0.2, seed=2))
     run(sketch, events)
-    assert sketch.precond.order == len(sketch.selected)
-    assert len(sketch.selected) <= sum(r.accepted for r in sketch.records)
+    assert sketch.dict.inverse.order == len(sketch.dict)
+    assert len(sketch.dict) <= sum(r.accepted for r in sketch.records)
+    # the store's selection weights are 1 on the accepted rounds, 0 elsewhere
+    accepted = [float(r.accepted) for r in sketch.records]
+    assert 0.0 < sum(accepted) < len(accepted)
+    assert list(sketch.dict.selection_sq_weights(sketch.t)) == accepted
+    assert list(sketch.dict.selection_sq_weights(60)) == accepted[:60]
 
 
 @pytest.mark.parametrize("bad_round", [1, 5])
@@ -198,5 +203,5 @@ def test_embedded_sampler_matches_a_standalone_one(kernel):
         for x, d_t, rec in zip(learner.points, learner.d_scale, learner.records,
                                strict=True):
             assert alone.step(x, d_t).tau_tilde == rec.tau
-        assert list(alone.dict.rounds) == list(learner.kors.dict.rounds)
+        assert list(alone.dict.indices) == list(learner.kors.dict.indices)
         assert list(alone.dict.probs) == list(learner.kors.dict.probs)

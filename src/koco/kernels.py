@@ -35,7 +35,7 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if self.degree < 1:
+        if not (self.degree >= 1 and float(self.degree).is_integer()):
             raise ValueError("degree must be a positive integer")
         if not self.offset >= 0:
             raise ValueError("offset must be nonnegative")
@@ -53,7 +53,7 @@ def polynomial(degree: int, offset: float = 0.0) -> KernelSpec:
     return KernelSpec(POLYNOMIAL, degree=degree, offset=offset)
 
 
-def _check_point(x) -> np.ndarray:
+def _finite_point(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(x)):
         raise ValueError("point contains NaN/Inf")
@@ -62,8 +62,8 @@ def _check_point(x) -> np.ndarray:
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """k(x, y); symmetric, with k(x, x) = 1 exactly."""
-    x = _check_point(x)
-    y = _check_point(y)
+    x = _finite_point(x)
+    y = _finite_point(y)
     if x.shape != y.shape:
         raise DimensionMismatch(f"coordinate dimensions {x.shape[0]} vs {y.shape[0]}")
     if np.array_equal(x, y):
@@ -96,12 +96,23 @@ def _stack(history) -> np.ndarray:
 def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     """Vector of k(history[i], x) for every i, in order.
 
-    Entry i reduces over history[i] alone (squared distances one
+    The query x is checked first, against an empty history too: NaN/Inf
+    raises ValueError, and a zero x under a cosine-normalized family
+    raises ZeroNormPoint, so a point with no history fails in its own
+    round. Entry i reduces over history[i] alone (squared distances one
     coordinate at a time, inner products through einsum, not a BLAS
     product, which takes another path for one row than for many), so the
     row against part of the history is a gather of the row against all
     of it."""
-    x = _check_point(x)
+    x = _finite_point(x)
+    if spec.family == LINEAR:
+        nx = float(np.sqrt(x @ x))
+        if nx == 0.0:
+            raise ZeroNormPoint("linear-normalized kernel undefined for zero vector")
+    elif spec.family == POLYNOMIAL:
+        px = (float(x @ x) + spec.offset) ** spec.degree
+        if px == 0.0:
+            raise ZeroNormPoint("polynomial-normalized kernel undefined for zero vector")
     H = _stack(history)
     if H.shape[0] == 0:
         return np.zeros(0)
@@ -112,13 +123,11 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     hx = np.einsum("ij,j->i", H, x)
     if spec.family == LINEAR:
         norms = np.sqrt(np.sum(H * H, axis=1))
-        nx = float(np.sqrt(x @ x))
-        if nx == 0.0 or np.any(norms == 0.0):
+        if np.any(norms == 0.0):
             raise ZeroNormPoint("linear-normalized kernel undefined for zero vector")
         return hx / (norms * nx)
     self_p = (np.sum(H * H, axis=1) + spec.offset) ** spec.degree
-    px = (float(x @ x) + spec.offset) ** spec.degree
-    if px == 0.0 or np.any(self_p == 0.0):
+    if np.any(self_p == 0.0):
         raise ZeroNormPoint("polynomial-normalized kernel undefined for zero vector")
     return (hx + spec.offset) ** spec.degree / np.sqrt(self_p * px)
 
@@ -154,7 +163,8 @@ def rescaled_gram(spec: KernelSpec, points, d, probs) -> np.ndarray:
     times d_j, times sw_i, times sw_j, and is mirrored to (j, i); the
     diagonal is d_j·d_j·(1/p_j), since k(x, x) = 1. Gaussian rows are
     formed in row blocks of at most APPEND_BLOCK_BYTES of coordinate
-    differences, the cosine families row by row."""
+    differences, the cosine families row by row. `gram` is this builder
+    at d = p = 1."""
     P = _stack(points)
     d = np.asarray(d, dtype=np.float64)
     n = P.shape[0]
@@ -184,35 +194,11 @@ def rescaled_gram(spec: KernelSpec, points, d, probs) -> np.ndarray:
     return G
 
 
-def check_point(spec: KernelSpec, x) -> None:
-    """Raise for a finite point x what `cross_vector` raises for it against
-    itself: ZeroNormPoint for a zero point of a cosine-normalized family
-    (a gaussian takes every finite point)."""
-    if spec.family != GAUSSIAN:
-        cross_vector(spec, x, x)
-
-
 def gram(spec: KernelSpec, points) -> np.ndarray:
-    """Full kernel matrix of the point set; unit diagonal, PSD up to roundoff."""
+    """Full kernel matrix of the point set: `rescaled_gram` at unit scales
+    and probabilities, so entry (i, j), i < j, is exactly
+    `cross_vector(spec, points[:j], points[j])[i]`, mirrored (the matrix
+    is symmetric bit for bit), with a unit diagonal; PSD up to roundoff."""
     P = _stack(points)
-    n = P.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    if spec.family == GAUSSIAN:
-        sq = np.sum(P * P, axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (P @ P.T), 0.0)
-        G = np.exp(-d2 / (2.0 * spec.bandwidth**2))
-    elif spec.family == LINEAR:
-        norms = np.sqrt(np.sum(P * P, axis=1))
-        if np.any(norms == 0.0):
-            raise ZeroNormPoint("linear-normalized kernel undefined for zero vector")
-        G = (P @ P.T) / np.outer(norms, norms)
-    else:
-        raw = (P @ P.T + spec.offset) ** spec.degree
-        d = np.diag(raw).copy()
-        if np.any(d == 0.0):
-            raise ZeroNormPoint("polynomial-normalized kernel undefined for zero vector")
-        G = raw / np.sqrt(np.outer(d, d))
-    G = 0.5 * (G + G.T)
-    np.fill_diagonal(G, 1.0)
-    return G
+    ones = np.ones(P.shape[0])
+    return rescaled_gram(spec, P, ones, ones)

@@ -21,7 +21,7 @@ import numpy as np
 
 # eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
 # stays because perfbench's tracer hooks its kernels.diag layer on it
-from .kernels import KernelSpec, check_point, cross_vector, eval_kernel  # noqa: F401
+from .kernels import KernelSpec, cross_vector, eval_kernel  # noqa: F401
 from .kors import Dictionary
 from .linalg import grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
@@ -154,17 +154,9 @@ class NewtonCore:
 
     def predict(self, x) -> tuple[float, float]:
         """(unclipped, clipped) prediction for input x; state untouched."""
-        return self._predict(self._cross(x))
-
-    def _cross(self, x) -> np.ndarray:
-        if self.t == 0:
-            check_point(self.kernel, x)  # fails in its own round, as later points do
-            return np.zeros(0)
-        return cross_vector(self.kernel, self.points, x)
+        return self._predict(cross_vector(self.kernel, self.points, x))
 
     def _predict(self, k: np.ndarray) -> tuple[float, float]:
-        if self.t == 0:
-            return 0.0, 0.0
         kd = k * self.d_scale
         corr = self._cols(kd) @ self.dict.inverse.apply(self._cols(self.kbar_b))
         ybar = (float(kd @ self.b) - float(corr)) / self._kcfg.alpha
@@ -179,7 +171,7 @@ class NewtonCore:
         t_new = self.t + 1
         if not np.isfinite(x).all():
             raise ValueError(f"round {t_new}: point contains NaN/Inf")
-        k = self._cross(x)
+        k = cross_vector(self.kernel, self.points, x)
         ybar, yhat = self._predict(k)
 
         cfg = self._kcfg

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, check_point, cross_vector, rescaled_gram
+from .kernels import KernelSpec, cross_vector, rescaled_gram
 from .linalg import REFRESH_EVERY, SCHUR_RTOL, RegularizedInverse, grown
 from .rng import bernoulli, named_rng
 
@@ -178,10 +178,9 @@ class KorsSampler:
         return len(self.dict)
 
     def _member_column(self, x: np.ndarray, d_t: float) -> np.ndarray:
-        """Weighted rescaled kernel column of x against the members."""
-        if not len(self.dict):
-            check_point(self.kernel, x)  # fails now, not when x is a member
-            return np.zeros(0)
+        """Weighted rescaled kernel column of x against the members (empty
+        before the first admission; `cross_vector` checks x either way, so
+        a bad point fails now, not when it is a member)."""
         ks = cross_vector(self.kernel, self.dict.points, x)
         return ks * self.dict.d_scale * d_t * self.dict.sweights
 

@@ -30,6 +30,12 @@ def test_linear_zero_vector_rejected():
     for history, x in ((np.zeros((1, 2)), np.ones(2)), (np.ones((1, 2)), np.zeros(2))):
         with pytest.raises(ZeroNormPoint):
             cross_vector(linear(), history, x)
+    # the query is checked against an empty history too, so a zero point
+    # with no history fails in its own round; a gaussian takes it
+    for spec in (linear(), polynomial(2, 0.0)):
+        with pytest.raises(ZeroNormPoint):
+            cross_vector(spec, np.zeros((0, 2)), np.zeros(2))
+    assert cross_vector(gaussian(), np.zeros((0, 2)), np.zeros(2)).shape == (0,)
 
 
 def test_polynomial_normalized_self():
@@ -44,8 +50,11 @@ def test_polynomial_normalized_self():
 @pytest.mark.parametrize("bad, message", [
     (dict(bandwidth=-1.0), "bandwidth must be positive"),
     (dict(degree=0), "degree must be a positive integer"),
+    (dict(degree=2.5), "degree must be a positive integer"),
+    (dict(degree=float("nan")), "degree must be a positive integer"),
+    (dict(degree=float("inf")), "degree must be a positive integer"),
     (dict(offset=-0.5), "offset must be nonnegative"),
-], ids=["bandwidth", "degree", "offset"])
+], ids=["bandwidth", "degree", "degree-2.5", "degree-nan", "degree-inf", "offset"])
 def test_every_family_checks_every_parameter(family, bad, message):
     KernelSpec(family)
     with pytest.raises(ValueError, match=message):
@@ -130,6 +139,11 @@ def test_gram_unit_diagonal_and_psd(spec):
     G = gram(spec, pts)
     assert np.all(np.diag(G) == 1.0)
     assert np.linalg.eigvalsh(G)[0] >= -1e-10
+    # the exact builder at unit weights: symmetric bit for bit, and row j
+    # below the diagonal is the kernel row an append at order j enters
+    assert np.array_equal(G, G.T)
+    for j in range(len(pts)):
+        assert np.array_equal(G[j, :j], cross_vector(spec, pts[:j], pts[j])), j
 
 
 def test_gram_permutation_consistency():

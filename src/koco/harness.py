@@ -260,8 +260,9 @@ class RunSummary:
     final_dict_size: int
     final_sampler_size: int
     rejected_appends: int  # sketch appends demoted by a singular Schur complement
-    refreshes: int         # inverse rebuilds, learner plus sampler (per REFRESH_EVERY appends)
+    refreshes: int         # solver rebuilds, learner plus sampler (per REFRESH_EVERY appends)
     q_floor_clamps: int    # nonzero-derivative rounds whose q_t was floored at Q_FLOOR
+    audit_residual: float  # largest final solver audit over the learner's stores (0 for none)
     mean_step_us: float
     max_step_us: float
     bound_value: float | None = None
@@ -381,6 +382,11 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
                                               prof, floor)
             bound_ok = bool(r_t <= bound_value)
     sampler_size = len(learner.kors.dict) if hasattr(learner, "kors") else 0
+    # each solver against the gram rebuilt from its store's members, once,
+    # at the end: an audit at order n costs an n³ product
+    stores = [lr.dict for lr in (learner, getattr(learner, "kors", None))
+              if hasattr(lr, "dict")]
+    audit = max((st.solver.audit(st.gram()) for st in stores), default=0.0)
     return RunSummary(
         learner=cfg.learner, seed=seed, horizon=len(records),
         cumulative_loss=cumulative, comparator_loss=comparator_loss,
@@ -390,6 +396,7 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
         rejected_appends=getattr(learner, "rejected_appends", 0),
         refreshes=getattr(learner, "refreshes", 0),
         q_floor_clamps=getattr(learner, "q_floor_clamps", 0),
+        audit_residual=audit,
         mean_step_us=float(times.mean()) if len(times) else 0.0,
         max_step_us=float(times.max()) if len(times) else 0.0,
         bound_value=bound_value, bound_ok=bound_ok)

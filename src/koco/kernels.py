@@ -105,14 +105,7 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     row against part of the history is a gather of the row against all
     of it."""
     x = _finite_point(x)
-    if spec.family == LINEAR:
-        nx = float(np.sqrt(x @ x))
-        if nx == 0.0:
-            raise ZeroNormPoint("linear-normalized kernel undefined for zero vector")
-    elif spec.family == POLYNOMIAL:
-        px = (float(x @ x) + spec.offset) ** spec.degree
-        if px == 0.0:
-            raise ZeroNormPoint("polynomial-normalized kernel undefined for zero vector")
+    x_self = _query_self(spec, x)
     H = _stack(history)
     if H.shape[0] == 0:
         return np.zeros(0)
@@ -120,16 +113,43 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
         raise DimensionMismatch(f"coordinate dimensions {H.shape[1]} vs {x.shape[0]}")
     if spec.family == GAUSSIAN:
         return _gaussian(spec, _sq_dists(H, x[None])[0])
-    hx = np.einsum("ij,j->i", H, x)
+    return _cosine(spec, np.einsum("ij,j->i", H, x), _history_self(spec, H), x_self)
+
+
+def _query_self(spec: KernelSpec, x: np.ndarray) -> float | None:
+    """The query's own term of a cosine normalization, None for the
+    gaussian: |x| (linear) or (x·x + offset)^degree (polynomial), from
+    x @ x. A zero x raises ZeroNormPoint."""
+    if spec.family == GAUSSIAN:
+        return None
     if spec.family == LINEAR:
-        norms = np.sqrt(np.sum(H * H, axis=1))
-        if np.any(norms == 0.0):
-            raise ZeroNormPoint("linear-normalized kernel undefined for zero vector")
-        return hx / (norms * nx)
-    self_p = (np.sum(H * H, axis=1) + spec.offset) ** spec.degree
-    if np.any(self_p == 0.0):
-        raise ZeroNormPoint("polynomial-normalized kernel undefined for zero vector")
-    return (hx + spec.offset) ** spec.degree / np.sqrt(self_p * px)
+        own = float(np.sqrt(x @ x))
+    else:
+        own = (float(x @ x) + spec.offset) ** spec.degree
+    if own == 0.0:
+        raise ZeroNormPoint(f"{spec.family} kernel undefined for zero vector")
+    return own
+
+
+def _history_self(spec: KernelSpec, H: np.ndarray) -> np.ndarray:
+    """Each history row's own term of a cosine normalization, as
+    `_query_self` defines it but reduced row by row (each row alone, so
+    the terms of a prefix of H are a prefix of the terms of H). A zero
+    row raises ZeroNormPoint."""
+    sq = np.sum(H * H, axis=1)
+    own = np.sqrt(sq) if spec.family == LINEAR else (sq + spec.offset) ** spec.degree
+    if np.any(own == 0.0):
+        raise ZeroNormPoint(f"{spec.family} kernel undefined for zero vector")
+    return own
+
+
+def _cosine(spec: KernelSpec, hx: np.ndarray, h_self: np.ndarray,
+            x_self: float) -> np.ndarray:
+    """Cosine-normalized kernel values of the inner products hx between
+    history rows and a query, given both sides' own terms."""
+    if spec.family == LINEAR:
+        return hx / (h_self * x_self)
+    return (hx + spec.offset) ** spec.degree / np.sqrt(h_self * x_self)
 
 
 def _gaussian(spec: KernelSpec, sq_dists: np.ndarray, out=None) -> np.ndarray:
@@ -163,8 +183,9 @@ def rescaled_gram(spec: KernelSpec, points, d, probs) -> np.ndarray:
     times d_j, times sw_i, times sw_j, and is mirrored to (j, i); the
     diagonal is d_j·d_j·(1/p_j), since k(x, x) = 1. Gaussian rows are
     formed in row blocks of at most APPEND_BLOCK_BYTES of coordinate
-    differences, the cosine families row by row. `gram` is this builder
-    at d = p = 1."""
+    differences, the cosine families row by row from each point's own
+    normalization terms, taken once. A NaN/Inf coordinate raises
+    ValueError. `gram` is this builder at d = p = 1."""
     P = _stack(points)
     d = np.asarray(d, dtype=np.float64)
     n = P.shape[0]
@@ -175,6 +196,11 @@ def rescaled_gram(spec: KernelSpec, points, d, probs) -> np.ndarray:
     sw = np.sqrt(w)
     rows = min(n, max(1, APPEND_BLOCK_BYTES // (8 * n * P.shape[1])))
     upper = ~np.tri(rows, dtype=bool)  # the part of a block's square to mirror
+    if not np.all(np.isfinite(P)):
+        raise ValueError("point contains NaN/Inf")
+    if spec.family != GAUSSIAN:
+        h_self = _history_self(spec, P)
+        x_self = [_query_self(spec, x) for x in P]
     for j0 in range(0, n, rows):
         j1 = min(j0 + rows, n)
         blk = G[j0:j1, :j1]  # rows j0..j1-1; only columns i < j are kept
@@ -182,7 +208,8 @@ def rescaled_gram(spec: KernelSpec, points, d, probs) -> np.ndarray:
             _gaussian(spec, _sq_dists(P[:j1], P[j0:j1]), out=blk)
         else:
             for j in range(j0, j1):
-                blk[j - j0, :j] = cross_vector(spec, P[:j], P[j])
+                hx = np.einsum("ij,j->i", P[:j], P[j])
+                blk[j - j0, :j] = _cosine(spec, hx, h_self[:j], x_self[j])
         blk *= d[:j1]
         blk *= d[j0:j1, None]
         blk *= sw[:j1]

@@ -23,7 +23,7 @@ import numpy as np
 # stays because perfbench's tracer hooks its kernels.diag layer on it
 from .kernels import KernelSpec, cross_vector, eval_kernel  # noqa: F401
 from .kors import Dictionary
-from .linalg import grown
+from .linalg import RegularizedInverse, grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
 
 ETA_FIXED_SIGMA = "fixed-sigma"
@@ -92,11 +92,12 @@ class NewtonCore:
     into one new coefficient, and offers the round's rescaled kernel
     column to the subclass's `_select`. That hook returns the record's
     (tau, p_accept, accepted) and admits a column that enters the
-    preconditioner. The preconditioner is a `Dictionary`, `dict`, whose
-    members are the selected rounds at probability 1 (so at weight one);
-    it refreshes its inverse from its members' gram every REFRESH_EVERY
-    columns. Kernel rows, b and the cached rescaled-gram @ b cover every
-    round.
+    preconditioner. The preconditioner is a `Dictionary`, `dict`, over a
+    `RegularizedInverse`, since each round multiplies by the inverse; its
+    members are the selected rounds at probability 1 (so at weight one),
+    and it refreshes its inverse from its members' gram every
+    REFRESH_EVERY columns. Kernel rows, b and the cached rescaled-gram @ b
+    cover every round.
     """
 
     def __init__(self, kernel: KernelSpec, cfg, kons_cfg: KonsConfig):
@@ -105,7 +106,7 @@ class NewtonCore:
         self.t = 0
         self.records: list[StepRecord] = []
         self._kcfg = kons_cfg
-        self.dict = Dictionary(kernel, kons_cfg.alpha)
+        self.dict = Dictionary(kernel, RegularizedInverse(kons_cfg.alpha))
         self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first round
         self._d = np.zeros(16)       # gdot_i * sqrt(eta_i)
         self._b = np.zeros(16)       # dual coefficients
@@ -140,7 +141,7 @@ class NewtonCore:
     @property
     def refreshes(self) -> int:
         """Rebuilds of the preconditioner so far."""
-        return self.dict.inverse.refreshes
+        return self.dict.solver.refreshes
 
     def _cols(self, v: np.ndarray) -> np.ndarray:
         """v restricted to the preconditioner's rounds."""
@@ -158,7 +159,7 @@ class NewtonCore:
 
     def _predict(self, k: np.ndarray) -> tuple[float, float]:
         kd = k * self.d_scale
-        corr = self._cols(kd) @ self.dict.inverse.apply(self._cols(self.kbar_b))
+        corr = self._cols(kd) @ self.dict.solver.apply(self._cols(self.kbar_b))
         ybar = (float(kd @ self.b) - float(corr)) / self._kcfg.alpha
         return ybar, clip_to_interval(ybar, self._kcfg.clip_c)
 
@@ -185,7 +186,7 @@ class NewtonCore:
         kc = k * self.d_scale * d_t
         kdiag = d_t * d_t
         w = self._cols(kc)
-        u = self.dict.inverse.apply(w)
+        u = self.dict.solver.apply(w)
         q_raw = (kdiag - float(w @ u)) / cfg.alpha
         q = max(q_raw, Q_FLOOR)
         # a clamp counts where it changes b_t: at d_t = 0 the term

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, cross_vector, rescaled_gram
-from .linalg import REFRESH_EVERY, SCHUR_RTOL, RegularizedInverse, grown
+from .linalg import REFRESH_EVERY, SCHUR_RTOL, RegularizedFactor, grown
 from .rng import bernoulli, named_rng
 
 
@@ -68,15 +68,18 @@ class KorsStep:
 class Dictionary:
     """A selected column set: the members' 0-based stream indices,
     admission probabilities p, points and rescale factors d in grown
-    arrays, and the regularized inverse of their weighted rescaled gram
-    M_ij = k(x_i, x_j)·d_i·d_j·√(1/p_i)·√(1/p_j) (1/p_j·d_j² on the
-    diagonal). The sampler's dictionary holds each member at its
-    admission probability; the Newton-step learners' preconditioner is
-    the same store with p = 1 for every member."""
+    arrays, and `solver`, which solves with M + alpha I for their
+    weighted rescaled gram M_ij = k(x_i, x_j)·d_i·d_j·√(1/p_i)·√(1/p_j)
+    (1/p_j·d_j² on the diagonal). The solver is the caller's, empty: a
+    `koco.linalg.RegularizedInverse` where M's inverse multiplies (the
+    Newton-step learners' preconditioner, the same store with p = 1 for
+    every member), a `koco.linalg.RegularizedFactor` where it only scores
+    (the sampler's dictionary, each member at its admission
+    probability)."""
 
-    def __init__(self, kernel: KernelSpec, alpha: float):
+    def __init__(self, kernel: KernelSpec, solver):
         self.kernel = kernel
-        self.inverse = RegularizedInverse(alpha)
+        self.solver = solver
         self._n = 0
         self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first member
         self._d = np.zeros(16)
@@ -111,21 +114,21 @@ class Dictionary:
         return self._p[: self._n]
 
     def admit(self, x: np.ndarray, d_t: float, index: int, prob: float,
-              cross: np.ndarray, kdiag: float, inv_cross: np.ndarray) -> None:
+              cross: np.ndarray, kdiag: float, product: np.ndarray) -> None:
         """Append the column of x (its rescaled kernel column `cross`
-        against the members, corner `kdiag`, and the product `inv_cross`
-        of the inverse with `cross`) weighted by 1/prob, and record the
-        member. A singular append raises SchurNotPositive and leaves the
-        store as it was. Every REFRESH_EVERY members the inverse is
-        rebuilt from `gram()`.
+        against the members, corner `kdiag`, and the solver's `product`
+        for `cross`: inv·cross for an inverse, L⁻¹·cross for a factor)
+        weighted by 1/prob, and record the member. A singular append
+        raises SchurNotPositive and leaves the store as it was. Every
+        REFRESH_EVERY members the solver is rebuilt from `gram()`.
 
         The weight w = 1/prob scales the border by √w and the corner by
-        w; the product scaled by √w stands for inv·(cross·√w), which it
-        equals up to rounding. At prob = 1 each scaling multiplies by 1.0
-        and leaves every bit."""
+        w; the product scaled by √w stands for the product of cross·√w,
+        which it equals up to rounding. At prob = 1 each scaling
+        multiplies by 1.0 and leaves every bit."""
         w = 1.0 / prob
         sw = np.sqrt(w)
-        self.inverse.append(cross * sw, kdiag * w, inv_cross=inv_cross * sw)
+        self.solver.append(cross * sw, kdiag * w, product * sw)
         n = self._n
         if n == 0:
             self._pts = np.zeros((16, x.shape[0]))
@@ -141,10 +144,10 @@ class Dictionary:
         self._p[n] = prob
         self._n = n + 1
         if self._n % REFRESH_EVERY == 0:
-            self.inverse.refresh(self.gram())
+            self.solver.refresh(self.gram())
 
     def gram(self) -> np.ndarray:
-        """The matrix M the inverse inverts (less alpha I), rebuilt from
+        """The matrix M the solver solves with (less alpha I), rebuilt from
         the members bit for bit as their columns were appended."""
         return rescaled_gram(self.kernel, self.points, self.d_scale, self.probs)
 
@@ -169,7 +172,7 @@ class KorsSampler:
     def __init__(self, kernel: KernelSpec, cfg: KorsConfig):
         self.kernel = kernel
         self.cfg = cfg
-        self.dict = Dictionary(kernel, cfg.alpha)
+        self.dict = Dictionary(kernel, RegularizedFactor(cfg.alpha))
         self._rng = named_rng(cfg.rng_seed, "kors-coins")
         self._rounds = 0  # points scored so far
 
@@ -194,8 +197,12 @@ class KorsSampler:
         + alpha): x is already spanned by the weighted members) scores 0.
         The coin has probability p = min(beta * score, 1), and an
         admitted point enters the dictionary with weight 1/p at its
-        0-based stream index (the count of points scored before it); its
-        append reuses the score's product inv·cross.
+        0-based stream index (the count of points scored before it).
+
+        The dictionary's solver is a grown Cholesky factor L of its
+        M + alpha I, so s = k(x, x)·d_t² + alpha - |L⁻¹cross|² costs one
+        packed triangular solve, and an admission reuses that solve as
+        the new row of L: O(size²) to score, O(size) more to admit.
 
         `cross`, when given, is the members' weighted rescaled column of
         an already checked x, which is then neither checked nor evaluated.
@@ -208,12 +215,12 @@ class KorsSampler:
         index = self._rounds
         self._rounds += 1
         kdiag = d_t * d_t  # k(x, x) = 1 for every kernel in koco.kernels
-        s, u = self.dict.inverse.schur_complement(cross, kdiag)
+        s, lc = self.dict.solver.schur_complement(cross, kdiag)
         tau = 0.0
         if s > SCHUR_RTOL * (kdiag + self.cfg.alpha):
             tau = float(max((1.0 + self.cfg.epsilon) * (1.0 - self.cfg.alpha / s), 0.0))
         p = min(self.cfg.beta * tau, 1.0)
         z = bernoulli(self._rng, p)  # drawn at p = 0 too: one draw per point
         if z:
-            self.dict.admit(x, d_t, index, p, cross, kdiag, u)
+            self.dict.admit(x, d_t, index, p, cross, kdiag, lc)
         return KorsStep(tau_tilde=tau, p_tilde=p, accepted=z, size=self.size)

@@ -1,20 +1,26 @@
 """Dense symmetric linear algebra for the online learners.
 
-Regularized inverses are grown one row/column at a time by Schur
+Two solvers of M + alpha I are grown one row/column at a time by Schur
 bordering and periodically rebuilt, to bound drift, from the matrix M
 that their owner, a `koco.kors.Dictionary`, rebuilds from its members;
-an inverse keeps no copy of M, only its own n×n buffer. An append of order n costs one n×n mat-vec, or none when the
-caller passes the product (M + alpha I)^{-1}·cross it already has, plus
-an in-place rank-1 update. The inverse's rows sit in one flat buffer at
-a padded row stride, so the update runs over whole contiguous row
-blocks and needs no n×n temporary. Everything is dense float64: at desk
-scale (a few thousand points) sparse or low-rank storage buys nothing.
+neither keeps a copy of M. `RegularizedInverse` keeps the inverse
+itself, which the Newton-step learners multiply by every round: an
+append of order n costs one n×n mat-vec, or none when the caller passes
+the product (M + alpha I)^{-1}·cross it already has, plus an in-place
+rank-1 update. Its rows sit in one flat buffer at a padded row stride,
+so the update runs over whole contiguous row blocks and needs no n×n
+temporary. `RegularizedFactor` keeps the lower Cholesky factor L, which
+the leverage-score sampler only solves with: a score is one packed
+triangular solve L⁻¹·cross, and an append writes one new row of L.
+Everything is dense float64: at desk scale (a few thousand points)
+sparse or low-rank storage buys nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtpsv
 
 from .errors import NoConvergence, NotPositiveDefinite, SchurNotPositive
 
@@ -134,6 +140,15 @@ def gram_shift_product_direct(X: np.ndarray, alpha: float, v: np.ndarray) -> np.
 # incrementally grown regularized inverse
 # ---------------------------------------------------------------------------
 
+def _border(cross, order: int) -> np.ndarray:
+    """`cross` as a float64 vector of length `order` (the length only is
+    checked: the callers build it from points already checked)."""
+    cross = np.asarray(cross, dtype=np.float64).reshape(-1)
+    if cross.shape[0] != order:
+        raise ValueError(f"cross has length {cross.shape[0]}, expected {order}")
+    return cross
+
+
 def _row_stride(n: int) -> int:
     """Row stride of the maintained inverse at order n >= 1."""
     step = ROW_STRIDE_STEP if n > ROW_STRIDE_STEP else 16
@@ -214,19 +229,12 @@ class RegularizedInverse:
 
     # -- growth --------------------------------------------------------
 
-    def _border(self, cross) -> np.ndarray:
-        # length only: the callers build cross from points already checked
-        cross = np.asarray(cross, dtype=np.float64).reshape(-1)
-        if cross.shape[0] != self.order:
-            raise ValueError(f"cross has length {cross.shape[0]}, expected {self.order}")
-        return cross
-
     def schur_complement(self, cross: np.ndarray, diag: float) -> tuple[float, np.ndarray]:
         """Schur complement of the would-be appended row/column, and the
         product inv·cross it is formed with (what `append` takes as
         `inv_cross`). `cross` must be finite and is not checked: a NaN or
         infinite entry gives a NaN or -inf complement."""
-        cross = self._border(cross)
+        cross = _border(cross, self.order)
         u = self.inv @ cross
         return float(diag) + self.alpha - float(cross @ u), u
 
@@ -239,7 +247,7 @@ class RegularizedInverse:
         same bit for bit. A NaN/Inf in `cross` (not checked) fails the
         Schur test, without `inv_cross`, and leaves the inverse as it was.
         """
-        cross = self._border(cross)
+        cross = _border(cross, self.order)
         n = self.order
         if inv_cross is None:
             u = self.inv @ cross
@@ -310,9 +318,120 @@ class RegularizedInverse:
 
     def audit(self, gram: np.ndarray) -> float:
         """Max-abs deviation of inv·(M + alpha I) from the identity, for M
-        the matrix `gram` the appends grew."""
+        the matrix `gram` the appends grew. `gram` is shifted in place and
+        the deviation formed in row blocks of at most APPEND_BLOCK_BYTES,
+        so the audit holds no n×n buffer besides it."""
         n = self.order
         if n == 0:
             return 0.0
-        resid = self.inv @ (gram + self.alpha * np.eye(n)) - np.eye(n)
-        return float(np.max(np.abs(resid)))
+        gram.flat[:: n + 1] += self.alpha
+        rows = max(1, APPEND_BLOCK_BYTES // (8 * n))
+        worst = 0.0
+        for r0 in range(0, n, rows):
+            resid = self.inv[r0: r0 + rows] @ gram
+            resid.flat[r0:: n + 1] -= 1.0  # the block's part of the diagonal
+            worst = max(worst, float(np.max(np.abs(resid, out=resid))))
+        return worst
+
+
+# ---------------------------------------------------------------------------
+# incrementally grown Cholesky factor
+# ---------------------------------------------------------------------------
+
+class RegularizedFactor:
+    """Maintained lower Cholesky factor L of M + alpha I, for a PSD matrix
+    M grown by appending one row/column at a time.
+
+    The same contract as `RegularizedInverse` for the owner (`append`,
+    `schur_complement`, `refresh(gram)`, `audit(gram)`), without `apply`:
+    the factor serves Schur scores, not products. L's rows are packed one
+    after another in one flat buffer, row r from offset r(r+1)/2, so an
+    append writes its n + 1 entries at the end and moves nothing; the
+    buffer doubles when full. Read as columns, the same entries are Lᵀ
+    packed upper, a layout BLAS `tpsv` solves with as it is, uncopied.
+    """
+
+    def __init__(self, alpha: float):
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        self.alpha = float(alpha)
+        self.order = 0
+        self.refreshes = 0  # rebuilds from a supplied matrix so far
+        self._ap = np.zeros(16 * 17 // 2)  # L's packed rows (room for 16), then spare
+
+    def _solve(self, cross: np.ndarray) -> np.ndarray:
+        """L⁻¹·cross, in a new vector."""
+        n = self.order
+        if n == 0:
+            return np.zeros(0)
+        return dtpsv(n, self._ap[: n * (n + 1) // 2], cross, lower=0, trans=1)
+
+    def schur_complement(self, cross: np.ndarray, diag: float) -> tuple[float, np.ndarray]:
+        """Schur complement diag + alpha - |L⁻¹cross|² of the would-be
+        appended row/column, and the solve L⁻¹·cross (what `append` takes
+        as `product`). `cross` is not checked for NaN/Inf: such an entry
+        gives a NaN complement."""
+        lc = self._solve(_border(cross, self.order))
+        return float(diag) + self.alpha - float(lc @ lc), lc
+
+    def append(self, cross: np.ndarray, diag: float,
+               product: np.ndarray | None = None) -> None:
+        """Grow M by one row/column (border `cross`, corner `diag`): L
+        gains the row [l, √s], with l = L⁻¹cross (`product`, when given,
+        stands for it) and s = diag + alpha - |l|². The Schur test of
+        `RegularizedInverse.append` applies: a NaN border or an s at or
+        below SCHUR_RTOL·(diag + alpha) raises SchurNotPositive and leaves
+        the factor as it was."""
+        cross = _border(cross, self.order)
+        n = self.order
+        if product is None:
+            lc = self._solve(cross)
+        else:
+            lc = np.asarray(product, dtype=np.float64)
+            if lc.shape != (n,):
+                raise ValueError(f"product has shape {lc.shape}, expected ({n},)")
+        diag = float(diag)
+        s = diag + self.alpha - float(lc @ lc)
+        if not s > SCHUR_RTOL * (diag + self.alpha):  # a NaN s fails too
+            raise SchurNotPositive(
+                f"schur complement {s:.3e} below tolerance at order {n}")
+        start = n * (n + 1) // 2
+        self._ap = grown(self._ap, start + n + 1, start)
+        self._ap[start: start + n] = lc
+        self._ap[start + n] = np.sqrt(s)
+        self.order = n + 1
+
+    def refresh(self, gram: np.ndarray) -> None:
+        """Refactor from `gram`, the matrix M the appends grew, exactly
+        symmetric and C-ordered; it is consumed as the factor's work space,
+        so the rebuild holds no n×n buffer besides it."""
+        n = self.order
+        if n == 0:
+            return
+        if gram.shape != (n, n):
+            raise ValueError(f"gram has shape {gram.shape}, expected ({n}, {n})")
+        a = gram.T  # M itself, in Fortran order
+        a.flat[:: n + 1] += self.alpha
+        L, _ = _cho_factor(a, overwrite=True)  # in a's lower triangle
+        for r in range(n):
+            self._ap[r * (r + 1) // 2: (r + 1) * (r + 2) // 2] = L[r, : r + 1]
+        self.refreshes += 1
+
+    def audit(self, gram: np.ndarray) -> float:
+        """Max-abs deviation of (LLᵀ)⁻¹(M + alpha I) from the identity, for
+        M the matrix `gram` the appends grew: the measure of
+        `RegularizedInverse.audit`. `gram`, symmetric, is consumed
+        as the solve's work space, so the audit holds one n×n buffer, L,
+        besides it."""
+        n = self.order
+        if n == 0:
+            return 0.0
+        L = np.zeros((n, n))
+        for r in range(n):
+            L[r, : r + 1] = self._ap[r * (r + 1) // 2: (r + 1) * (r + 2) // 2]
+        shifted = gram.T  # M itself, in Fortran order
+        shifted.flat[:: n + 1] += self.alpha
+        resid = scipy.linalg.cho_solve((L, True), shifted, overwrite_b=True,
+                                       check_finite=False)
+        resid.flat[:: n + 1] -= 1.0
+        return float(np.max(np.abs(resid, out=resid)))

@@ -66,8 +66,8 @@ class SketchedKons(NewtonCore):
 
     @property
     def refreshes(self) -> int:
-        """Rebuilds of the sketch and of the sampler's inverse so far."""
-        return self.dict.inverse.refreshes + self.kors.dict.inverse.refreshes
+        """Rebuilds of the sketch and of the sampler's factor so far."""
+        return self.dict.solver.refreshes + self.kors.dict.solver.refreshes
 
     def _select(self, x, d_t, kc, w, u, kdiag, q_raw):
         # independent sampler: only its leverage estimate crosses over; its

@@ -16,7 +16,7 @@ import numpy as np
 from . import harness, kernels, linalg, losses, oracle, streams
 from .kernels import gaussian, gram, linear
 from .kors import KorsSampler, dict_size_bound
-from .linalg import REFRESH_EVERY, RegularizedInverse, psd_solve
+from .linalg import REFRESH_EVERY, RegularizedFactor, RegularizedInverse, psd_solve
 from .losses import LossEvent, curvature_profile
 from .rng import named_rng
 from .skons import sandwich_audit
@@ -253,7 +253,9 @@ def criterion_7_alternating_adversary():
 def criterion_8_matrix_identities():
     """Primal/dual shift-inverse identity at 1e-9 and append-composition
     at 1e-8 over 100 random instances each, one of them of order 600,
-    past the refresh from its matrix at order REFRESH_EVERY."""
+    past the refresh from its matrix at order REFRESH_EVERY: the grown
+    inverse against a direct solve, and the grown Cholesky factor grown
+    on the same borders by its audit against M."""
     rng = named_rng(8, "criterion-8")
     worst_identity = 0.0
     for _ in range(100):
@@ -269,22 +271,26 @@ def criterion_8_matrix_identities():
         direct = linalg.gram_shift_product_direct(X, alpha, v)
         worst_identity = max(worst_identity, float(np.max(np.abs(via_dual - direct))))
 
-    worst_compose = 0.0
+    worst_compose = worst_factor = 0.0
     for case in range(100):
         t = int(rng.integers(2, 41)) if case else 600
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
-        ri = RegularizedInverse(alpha)
+        solvers = (RegularizedInverse(alpha), RegularizedFactor(alpha))
         rows = rng.normal(size=(t, 6))
         M = rows @ rows.T / 6.0
         for j in range(t):
-            ri.append(M[:j, j], M[j, j])
-            if ri.order % REFRESH_EVERY == 0:
-                ri.refresh(M[: j + 1, : j + 1].copy())
+            for solver in solvers:
+                solver.append(M[:j, j], M[j, j])
+                if solver.order % REFRESH_EVERY == 0:
+                    solver.refresh(M[: j + 1, : j + 1].copy())
+        ri, rf = solvers
         direct = psd_solve(M, alpha, np.eye(t))
         worst_compose = max(worst_compose, float(np.max(np.abs(ri.inv - direct))))
-    ok = worst_identity <= 1e-9 and worst_compose <= 1e-8
+        worst_factor = max(worst_factor, rf.audit(M))
+    ok = worst_identity <= 1e-9 and worst_compose <= 1e-8 and worst_factor <= 1e-8
     return ok, (f"identity max err {worst_identity:.3e} (tol 1e-9); "
-                f"composition max err {worst_compose:.3e} (tol 1e-8)")
+                f"composition max err {worst_compose:.3e} (tol 1e-8); "
+                f"factor audit max {worst_factor:.3e} (tol 1e-8)")
 
 
 def criterion_9_speedup():

@@ -311,8 +311,26 @@ def test_summary_counts_refreshes(learner, expected):
     assert (f"\nrejected_appends=0\nrefreshes={expected}\nq_floor_clamps=0\n"
             in summary.as_text())
     if learner == "skons":  # the sampler's rebuilds count too
-        run.kors.dict.inverse.refresh(run.kors.dict.gram())
+        run.kors.dict.solver.refresh(run.kors.dict.gram())
         assert summarize_run(cfg, 0, run, None, None).refreshes == expected + 1
+
+
+@pytest.mark.parametrize("learner", ["kons", "skons", "gd-baseline"])
+def test_summary_reports_the_audit_residual(learner):
+    # the largest audit over the learner's preconditioner and its sampler's
+    # dictionary; a gd-baseline run keeps no solver
+    cfg = parse_config_text(BASE_CONFIG.replace("learner = kons", f"learner = {learner}")
+                            + "comparator = false\n")
+    run = run_stream(cfg, 0, cfg.events(0))
+    residual = summarize_run(cfg, 0, run, None, None).audit_residual
+    if learner == "gd-baseline":
+        assert residual == 0.0
+        return
+    assert 0.0 < residual <= 1e-8
+    if learner == "skons":
+        # one corrupted entry of the sampler's stored factor shows
+        run.kors.dict.solver._ap[4] += 1e-3
+        assert summarize_run(cfg, 0, run, None, None).audit_residual > 1e-6
 
 
 def test_csv_run_reads_its_stream_once(tmp_path, monkeypatch):

@@ -36,6 +36,20 @@ def test_linear_zero_vector_rejected():
         with pytest.raises(ZeroNormPoint):
             cross_vector(spec, np.zeros((0, 2)), np.zeros(2))
     assert cross_vector(gaussian(), np.zeros((0, 2)), np.zeros(2)).shape == (0,)
+    # the gram takes each point's norm once and checks it there
+    for spec in (linear(), polynomial(2, 0.0)):
+        for pts in ([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]]):
+            with pytest.raises(ZeroNormPoint):
+                gram(spec, np.array(pts))
+
+
+def test_gram_rejects_a_non_finite_point():
+    # the gram checks its points once, for every family, as cross_vector
+    # checks its query
+    for spec in (gaussian(), linear(), polynomial(2, 0.5)):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                gram(spec, np.array([[1.0, 0.5], [bad, 1.0], [0.2, 0.3]]))
 
 
 def test_polynomial_normalized_self():

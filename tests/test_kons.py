@@ -6,7 +6,7 @@ import pytest
 from koco import kons
 from koco.kernels import gaussian, gram, linear
 from koco.kons import ETA_FIXED_SIGMA, ETA_INVERSE_SQRT, Kons, KonsConfig, eta_at
-from koco.kors import KorsConfig
+from koco.kors import KorsConfig, KorsSampler
 from koco.linalg import REFRESH_EVERY
 from koco.losses import LossEvent, curvature_profile
 from koco.oracle import prefix_rls, primal_ons
@@ -177,9 +177,9 @@ def test_state_sizes_agree():
     assert learner.points.shape == (40, 5)
     assert learner.d_scale.shape == (40,)
     assert learner.b.shape == (40,)
-    assert learner.dict.inverse.order == len(learner.dict) == 40
+    assert learner.dict.solver.order == len(learner.dict) == 40
     assert learner.audit_cache() < 1e-8
-    assert learner.dict.inverse.audit(learner.dict.gram()) < 1e-8
+    assert learner.dict.solver.audit(learner.dict.gram()) < 1e-8
     assert learner.q_floor_clamps == 0
 
 
@@ -203,9 +203,9 @@ def test_audits_hold_past_two_refreshes():
     for learner in (exact, sketched):
         run(learner, events)
     for store in (exact.dict, sketched.dict, sketched.kors.dict):
-        assert store.inverse.order >= 2 * REFRESH_EVERY
-        assert store.inverse.refreshes == 2
-        assert store.inverse.audit(store.gram()) <= 1e-8
+        assert store.solver.order >= 2 * REFRESH_EVERY
+        assert store.solver.refreshes == 2
+        assert store.solver.audit(store.gram()) <= 1e-8
     assert exact.audit_cache() <= 1e-8
 
 
@@ -224,8 +224,28 @@ def test_exact_learner_holds_one_square_buffer():
     finally:
         tracemalloc.stop()
     cap = 1024
-    assert learner.dict.inverse._cap == cap
+    assert learner.dict.solver._cap == cap
     assert peak < 1.5 * 8 * cap**2
+
+
+def test_sampler_holds_one_packed_factor():
+    # at beta 100 the sampler admits all 700 points, so its factor's packed
+    # rows take 700·701/2 entries, about 0.23 × 8·1024² bytes (in a
+    # doubling buffer of at most twice that), and the refresh at order 512
+    # adds the 512² gram it factors in place; an explicit inverse of order
+    # 700 (1024² entries past order 512) alone takes 1 ×
+    events = rkhs_events(0, 700)
+    sampler = KorsSampler(gaussian(1.0), KorsConfig(alpha=1.0, epsilon=0.5, beta=100.0,
+                                                    delta=0.1))
+    tracemalloc.start()
+    try:
+        for ev in events:
+            sampler.step(ev.point, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sampler.size == 700 and sampler.dict.solver.refreshes == 1
+    assert peak < 0.6 * 8 * 1024**2
 
 
 def test_eta_schedule_reaches_half_at_round_four():

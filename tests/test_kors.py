@@ -5,6 +5,7 @@ from koco.errors import SchurNotPositive, ZeroNormPoint
 from koco.kernels import gaussian, gram, linear
 from koco.kors import (Dictionary, KorsConfig, KorsSampler, dict_size_bound,
                        required_budget)
+from koco.linalg import RegularizedFactor, RegularizedInverse
 from koco.oracle import prefix_rls
 from koco.rng import bernoulli, named_rng
 
@@ -158,16 +159,18 @@ def test_weights_are_inverse_probabilities():
 def test_singular_admit_leaves_the_store_unchanged():
     # at alpha 1e-13 a second copy of the member is spanned by it: its
     # Schur complement is below SCHUR_RTOL, and the store keeps its member
-    # and its inverse at that member's order
-    store = Dictionary(gaussian(1.0), 1e-13)
-    x = np.ones(2)
-    store.admit(x, 1.0, 0, 1.0, np.zeros(0), 1.0, np.zeros(0))
-    cross = np.ones(1)
-    with pytest.raises(SchurNotPositive):
-        store.admit(x, 1.0, 1, 0.5, cross, 1.0, store.inverse.apply(cross))
-    assert len(store) == store.inverse.order == 1
-    assert list(store.indices) == [0] and list(store.probs) == [1.0]
-    assert store.gram().shape == (1, 1)
+    # and its solver at that member's order, whichever solver it holds
+    for solver in (RegularizedInverse, RegularizedFactor):
+        store = Dictionary(gaussian(1.0), solver(1e-13))
+        x = np.ones(2)
+        store.admit(x, 1.0, 0, 1.0, np.zeros(0), 1.0, np.zeros(0))
+        cross = np.ones(1)
+        with pytest.raises(SchurNotPositive):
+            store.admit(x, 1.0, 1, 0.5, cross, 1.0,
+                        store.solver.schur_complement(cross, 1.0)[1])
+        assert len(store) == store.solver.order == 1
+        assert list(store.indices) == [0] and list(store.probs) == [1.0]
+        assert store.gram().shape == (1, 1)
 
 
 def test_same_seed_reproduces_dictionary():

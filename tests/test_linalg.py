@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from koco import kors
 from koco.errors import NoConvergence, NotPositiveDefinite, SchurNotPositive
-from koco.kernels import gaussian, linear, polynomial
+from koco.kernels import cross_vector, gaussian, linear, polynomial
 from koco.kons import Kons, KonsConfig
-from koco.kors import KorsConfig, KorsSampler
-from koco.linalg import (APPEND_BLOCK_BYTES, REFRESH_EVERY, RegularizedInverse,
-                         gram_shift_product, gram_shift_product_direct, psd_solve,
-                         sym_eigvals)
+from koco.kors import Dictionary, KorsConfig, KorsSampler
+from koco.linalg import (APPEND_BLOCK_BYTES, REFRESH_EVERY, RegularizedFactor,
+                         RegularizedInverse, gram_shift_product,
+                         gram_shift_product_direct, psd_solve, sym_eigvals)
 from koco.losses import LossEvent, curvature_profile
 from koco.skons import SketchedKons, SkonsConfig
 
@@ -19,15 +20,30 @@ def random_psd(rng, n, rank=None):
 
 
 # ---------------------------------------------------------------------------
-# RegularizedInverse.append
+# RegularizedInverse and RegularizedFactor growth
 # ---------------------------------------------------------------------------
 
+# the refusal tests run each case on both solvers in a loop, so their
+# names stay those of the inverse-only tests they extend
+SOLVERS = (RegularizedInverse, RegularizedFactor)
+
+
+def stored(solver) -> np.ndarray:
+    """A copy of what the solver stores at its order: the inverse's rows,
+    or the factor's packed rows."""
+    if isinstance(solver, RegularizedInverse):
+        return solver.inv.copy()
+    n = solver.order
+    return solver._ap[: n * (n + 1) // 2].copy()
+
+
 def test_append_scalar_case():
-    ri = RegularizedInverse(alpha=1.0)
-    ri.append(np.zeros(0), 1.0)
-    assert ri.inv.shape == (1, 1)
-    assert ri.inv[0, 0] == pytest.approx(0.5)  # 1/(1+alpha)
-    assert ri.order == 1
+    # 1/(1+alpha), or the factor √(1+alpha)
+    for solver, one in zip(SOLVERS, (0.5, np.sqrt(2.0))):
+        ri = solver(alpha=1.0)
+        ri.append(np.zeros(0), 1.0)
+        assert ri.order == 1
+        assert stored(ri).ravel() == pytest.approx([one])
 
 
 def test_append_matches_direct_inverse():
@@ -50,11 +66,15 @@ def test_append_zero_column_decouples():
 
 
 def test_append_rejects_singular_update():
-    ri = RegularizedInverse(alpha=1e-13)
-    ri.append(np.zeros(0), 1.0)
-    # duplicate unit direction: schur complement collapses to ~alpha
-    with pytest.raises(SchurNotPositive):
-        ri.append(np.array([1.0]), 1.0 - 1e-15)
+    for solver in SOLVERS:
+        ri = solver(alpha=1e-13)
+        ri.append(np.zeros(0), 1.0)
+        before = stored(ri)
+        # duplicate unit direction: schur complement collapses to ~alpha
+        with pytest.raises(SchurNotPositive):
+            ri.append(np.array([1.0]), 1.0 - 1e-15)
+        assert ri.order == 1
+        assert np.array_equal(stored(ri), before)
 
 
 def test_append_composition_long_run():
@@ -165,39 +185,70 @@ def test_sampler_product_append_matches_the_computed_one():
 
 
 def test_append_rejects_product_of_wrong_length():
-    ri = RegularizedInverse(alpha=1.0)
-    ri.append(np.zeros(0), 1.0)
-    ri.append(np.array([0.5]), 1.0)
-    for bad in (np.zeros(1), np.zeros(3), np.zeros((2, 1))):
-        with pytest.raises(ValueError, match="inv_cross has shape"):
-            ri.append(np.array([0.1, 0.2]), 1.0, inv_cross=bad)
-    assert ri.order == 2
+    for solver, name in zip(SOLVERS, ("inv_cross", "product")):
+        ri = solver(alpha=1.0)
+        ri.append(np.zeros(0), 1.0)
+        ri.append(np.array([0.5]), 1.0)
+        for bad in (np.zeros(1), np.zeros(3), np.zeros((2, 1))):
+            with pytest.raises(ValueError, match=f"{name} has shape"):
+                ri.append(np.array([0.1, 0.2]), 1.0, bad)
+        assert ri.order == 2
 
 
 @pytest.mark.parametrize("grow", ["schur_complement", "append"])
 def test_cross_of_wrong_length_is_rejected(grow):
-    ri = RegularizedInverse(alpha=1.0)
-    ri.append(np.zeros(0), 1.0)
-    for bad in (np.zeros(0), np.array([0.1, 0.2])):
-        with pytest.raises(ValueError, match="cross has length"):
-            getattr(ri, grow)(bad, 1.0)
-        assert ri.order == 1
+    for solver in SOLVERS:
+        ri = solver(alpha=1.0)
+        ri.append(np.zeros(0), 1.0)
+        before = stored(ri)
+        for bad in (np.zeros(0), np.array([0.1, 0.2])):
+            with pytest.raises(ValueError, match="cross has length"):
+                getattr(ri, grow)(bad, 1.0)
+            assert ri.order == 1
+            assert np.array_equal(stored(ri), before)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_cross_fails_the_schur_test(bad):
-    ri = RegularizedInverse(alpha=1.0)
-    ri.append(np.zeros(0), 1.0)
-    ri.append(np.array([0.5]), 1.0)
-    inv = ri.inv.copy()
-    cross = np.array([0.2, bad])
-    with np.errstate(invalid="ignore"):
-        s, _ = ri.schur_complement(cross, 1.0)
-        assert not s > 0.0
-        with pytest.raises(SchurNotPositive):
-            ri.append(cross, 1.0)
-    assert ri.order == 2
-    assert np.array_equal(ri.inv, inv)
+    for solver in SOLVERS:
+        ri = solver(alpha=1.0)
+        ri.append(np.zeros(0), 1.0)
+        ri.append(np.array([0.5]), 1.0)
+        before = stored(ri)
+        cross = np.array([0.2, bad])
+        with np.errstate(invalid="ignore"):
+            s, _ = ri.schur_complement(cross, 1.0)
+            assert not s > 0.0, solver.__name__
+            with pytest.raises(SchurNotPositive):
+                ri.append(cross, 1.0)
+        assert ri.order == 2
+        assert np.array_equal(stored(ri), before)
+
+
+def test_factor_scores_match_the_inverse(monkeypatch):
+    # two stores admit the same weighted columns, past two refreshes; the
+    # factor's scores |L⁻¹c|² are the inverse's cᵀ(M + alpha I)⁻¹c up to
+    # rounding, and each solver still solves with the rebuilt M
+    monkeypatch.setattr(kors, "REFRESH_EVERY", 128)
+    rng = np.random.default_rng(13)
+    kernel = gaussian(1.0)
+    stores = [Dictionary(kernel, RegularizedInverse(1.0)),
+              Dictionary(kernel, RegularizedFactor(1.0))]
+    points = rng.normal(size=(300, 3))
+    d = rng.uniform(0.2, 2.0, size=300)
+    probs = rng.uniform(0.05, 1.0, size=300)
+    for j, (x, d_t, prob) in enumerate(zip(points, d, probs)):
+        members = stores[0]
+        cross = (cross_vector(kernel, members.points, x) * members.d_scale * d_t
+                 * members.sweights)
+        scores = [store.solver.schur_complement(cross, d_t * d_t) for store in stores]
+        (s_inv, _), (s_fac, _) = scores
+        assert abs(s_fac - s_inv) <= 1e-12 * abs(s_inv), f"order {j}"
+        for store, (_, product) in zip(stores, scores):
+            store.admit(x, d_t, j, prob, cross, d_t * d_t, product)
+    for store in stores:
+        assert store.solver.order == 300 and store.solver.refreshes == 2
+        assert store.solver.audit(store.gram()) <= 1e-10
 
 
 def squared_cfg(alpha=1.0):
@@ -233,21 +284,20 @@ def test_periodic_refresh_runs(monkeypatch):
         learner.step(ev.point, ev)
     assert refreshes == [REFRESH_EVERY]
     assert learner.refreshes == 1
-    assert learner.dict.inverse.audit(learner.dict.gram()) < 1e-10
+    assert learner.dict.solver.audit(learner.dict.gram()) < 1e-10
 
 
 def capture_borders(monkeypatch) -> dict:
-    """Record, per inverse, the border and corner of every append that
-    succeeds."""
+    """Record, per solver (inverse or factor), the border and corner of
+    every append that succeeds."""
     borders = {}
-    append = RegularizedInverse.append
+    for cls in SOLVERS:
+        def recording(self, cross, diag, product=None, append=cls.append):
+            append(self, cross, diag, product)
+            borders.setdefault(self, []).append((np.array(cross, dtype=np.float64),
+                                                 float(diag)))
 
-    def recording(self, cross, diag, inv_cross=None):
-        append(self, cross, diag, inv_cross)
-        borders.setdefault(self, []).append((np.array(cross, dtype=np.float64),
-                                             float(diag)))
-
-    monkeypatch.setattr(RegularizedInverse, "append", recording)
+        monkeypatch.setattr(cls, "append", recording)
     return borders
 
 
@@ -290,8 +340,8 @@ def test_rebuilt_gram_equals_the_appended_borders(monkeypatch, kernel):
     stores.append(sampler.dict)
     signed_zeros = 0
     for store in stores:
-        M = assembled(borders[store.inverse])
-        assert M.shape[0] == store.inverse.order == len(store) > 20
+        M = assembled(borders[store.solver])
+        assert M.shape[0] == store.solver.order == len(store) > 20
         rebuilt = store.gram()
         assert np.array_equal(rebuilt.view(np.int64), M.view(np.int64))
         signed_zeros += int(np.sum((M == 0.0) & np.signbit(M)))

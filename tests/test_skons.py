@@ -152,7 +152,7 @@ def test_support_never_exceeds_acceptances():
     events = stream(8, 150)
     sketch = SketchedKons(gaussian(1.0), sketch_cfg(0.2, seed=2))
     run(sketch, events)
-    assert sketch.dict.inverse.order == len(sketch.dict)
+    assert sketch.dict.solver.order == len(sketch.dict)
     assert len(sketch.dict) <= sum(r.accepted for r in sketch.records)
     # the store's selection weights are 1 on the accepted rounds, 0 elsewhere
     accepted = [float(r.accepted) for r in sketch.records]

@@ -96,8 +96,9 @@ class NewtonCore:
     `RegularizedInverse`, since each round multiplies by the inverse; its
     members are the selected rounds at probability 1 (so at weight one),
     and it refreshes its inverse from its members' gram every
-    REFRESH_EVERY columns. Kernel rows, b and the cached rescaled-gram @ b
-    cover every round.
+    REFRESH_EVERY columns; `refreshes` counts those rebuilds, the only
+    ones a learner has (the sampler's Cholesky factor is never rebuilt).
+    Kernel rows, b and the cached rescaled-gram @ b cover every round.
     """
 
     def __init__(self, kernel: KernelSpec, cfg, kons_cfg: KonsConfig):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, cross_vector, rescaled_gram
-from .linalg import REFRESH_EVERY, SCHUR_RTOL, RegularizedFactor, grown
+from .linalg import SCHUR_RTOL, RegularizedFactor, grown
 from .rng import bernoulli, named_rng
 
 
@@ -75,7 +75,9 @@ class Dictionary:
     Newton-step learners' preconditioner, the same store with p = 1 for
     every member), a `koco.linalg.RegularizedFactor` where it only scores
     (the sampler's dictionary, each member at its admission
-    probability)."""
+    probability). The store rebuilds the solver from `gram()` when the
+    solver's `append` says a rebuild is due, which only the inverse
+    does."""
 
     def __init__(self, kernel: KernelSpec, solver):
         self.kernel = kernel
@@ -119,8 +121,9 @@ class Dictionary:
         against the members, corner `kdiag`, and the solver's `product`
         for `cross`: inv·cross for an inverse, L⁻¹·cross for a factor)
         weighted by 1/prob, and record the member. A singular append
-        raises SchurNotPositive and leaves the store as it was. Every
-        REFRESH_EVERY members the solver is rebuilt from `gram()`.
+        raises SchurNotPositive and leaves the store as it was. When the
+        append reports a rebuild due, the solver is then rebuilt from
+        `gram()`, which holds the new member.
 
         The weight w = 1/prob scales the border by √w and the corner by
         w; the product scaled by √w stands for the product of cross·√w,
@@ -128,7 +131,7 @@ class Dictionary:
         multiplies by 1.0 and leaves every bit."""
         w = 1.0 / prob
         sw = np.sqrt(w)
-        self.solver.append(cross * sw, kdiag * w, product * sw)
+        due = self.solver.append(cross * sw, kdiag * w, product * sw)
         n = self._n
         if n == 0:
             self._pts = np.zeros((16, x.shape[0]))
@@ -143,7 +146,7 @@ class Dictionary:
         self._i[n] = index
         self._p[n] = prob
         self._n = n + 1
-        if self._n % REFRESH_EVERY == 0:
+        if due:
             self.solver.refresh(self.gram())
 
     def gram(self) -> np.ndarray:

@@ -1,19 +1,25 @@
 """Dense symmetric linear algebra for the online learners.
 
 Two solvers of M + alpha I are grown one row/column at a time by Schur
-bordering and periodically rebuilt, to bound drift, from the matrix M
-that their owner, a `koco.kors.Dictionary`, rebuilds from its members;
-neither keeps a copy of M. `RegularizedInverse` keeps the inverse
-itself, which the Newton-step learners multiply by every round: an
-append of order n costs one n×n mat-vec, or none when the caller passes
-the product (M + alpha I)^{-1}·cross it already has, plus an in-place
-rank-1 update. Its rows sit in one flat buffer at a padded row stride,
-so the update runs over whole contiguous row blocks and needs no n×n
+bordering from the matrix M that their owner, a `koco.kors.Dictionary`,
+grows and rebuilds from its members; neither keeps a copy of M.
+`RegularizedInverse` keeps the inverse itself, which the Newton-step
+learners multiply by every round: an append of order n costs one n×n
+mat-vec, or none when the caller passes the product
+(M + alpha I)^{-1}·cross it already has, plus an in-place rank-1
+update. Its rows sit in one flat buffer at a padded row stride, so the
+update runs over whole contiguous row blocks and needs no n×n
 temporary. `RegularizedFactor` keeps the lower Cholesky factor L, which
 the leverage-score sampler only solves with: a score is one packed
 triangular solve L⁻¹·cross, and an append writes one new row of L.
 Everything is dense float64: at desk scale (a few thousand points)
 sparse or low-rank storage buys nothing.
+
+Only the inverse is rebuilt. Its rank-1 updates carry each one's
+rounding into every later entry, so it is refactored from M once every
+REFRESH_EVERY appends. Appending rows to L is the row-by-row (bordered)
+Cholesky algorithm itself, whose backward error is that of any Cholesky
+factorization, so a factor rebuilt from M would bound nothing more.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from scipy.linalg.blas import dtpsv
 
 from .errors import NoConvergence, NotPositiveDefinite, SchurNotPositive
 
-# Appends tolerated before the maintained inverse is rebuilt from scratch.
+# Appends tolerated before the maintained inverse is rebuilt from scratch
+# (the factor is never rebuilt; see the module docstring).
 REFRESH_EVERY = 512
 
 # Relative floor on the Schur complement of an appended row/column.
@@ -166,10 +173,11 @@ class RegularizedInverse:
 
     Only the inverse is stored, not M: the owning `koco.kors.Dictionary`,
     which grows M from its members, rebuilds M and passes it to `refresh`
-    (once every REFRESH_EVERY appends, which bounds drift over long runs)
-    and to `audit`. Appends whose Schur complement falls below
-    SCHUR_RTOL·(diag + alpha) are rejected: a near-singular bordering
-    would silently corrupt every later product.
+    when `append` reports that a rebuild is due (once every REFRESH_EVERY
+    appends, which bounds drift over long runs) and to `audit`. Appends
+    whose Schur complement falls below SCHUR_RTOL·(diag + alpha) are
+    rejected: a near-singular bordering would silently corrupt every
+    later product.
 
     The inverse's rows lie in one flat buffer at row stride
     w = _row_stride(order); `inv` is its [:n, :n] view, and the padding
@@ -239,8 +247,10 @@ class RegularizedInverse:
         return float(diag) + self.alpha - float(cross @ u), u
 
     def append(self, cross: np.ndarray, diag: float,
-               inv_cross: np.ndarray | None = None) -> None:
-        """Grow M by one row/column (border `cross`, corner `diag`) in place.
+               inv_cross: np.ndarray | None = None) -> bool:
+        """Grow M by one row/column (border `cross`, corner `diag`) in place,
+        and return whether a `refresh` is due: True when the new order is
+        a multiple of REFRESH_EVERY.
 
         `inv_cross`, when given, stands for `apply(cross)`, and the append
         skips that product; given exactly that product, the result is the
@@ -279,6 +289,7 @@ class RegularizedInverse:
         self._inv[n, :n] = border
         self._inv[n, n] = 1.0 / s
         self.order = n + 1
+        return self.order % REFRESH_EVERY == 0
 
     def refresh(self, gram: np.ndarray) -> None:
         """Rebuild the inverse by column solves from `gram`, the matrix M
@@ -343,10 +354,11 @@ class RegularizedFactor:
     M grown by appending one row/column at a time.
 
     The same contract as `RegularizedInverse` for the owner (`append`,
-    `schur_complement`, `refresh(gram)`, `audit(gram)`), without `apply`:
-    the factor serves Schur scores, not products. L's rows are packed one
-    after another in one flat buffer, row r from offset r(r+1)/2, so an
-    append writes its n + 1 entries at the end and moves nothing; the
+    `schur_complement`, `audit(gram)`), without `apply`, since the factor
+    serves Schur scores, not products, and without `refresh`, since its
+    appends do not drift (see the module docstring). L's rows are packed
+    one after another in one flat buffer, row r from offset r(r+1)/2, so
+    an append writes its n + 1 entries at the end and moves nothing; the
     buffer doubles when full. Read as columns, the same entries are Lᵀ
     packed upper, a layout BLAS `tpsv` solves with as it is, uncopied.
     """
@@ -356,7 +368,6 @@ class RegularizedFactor:
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
         self.order = 0
-        self.refreshes = 0  # rebuilds from a supplied matrix so far
         self._ap = np.zeros(16 * 17 // 2)  # L's packed rows (room for 16), then spare
 
     def _solve(self, cross: np.ndarray) -> np.ndarray:
@@ -400,22 +411,6 @@ class RegularizedFactor:
         self._ap[start: start + n] = lc
         self._ap[start + n] = np.sqrt(s)
         self.order = n + 1
-
-    def refresh(self, gram: np.ndarray) -> None:
-        """Refactor from `gram`, the matrix M the appends grew, exactly
-        symmetric and C-ordered; it is consumed as the factor's work space,
-        so the rebuild holds no n×n buffer besides it."""
-        n = self.order
-        if n == 0:
-            return
-        if gram.shape != (n, n):
-            raise ValueError(f"gram has shape {gram.shape}, expected ({n}, {n})")
-        a = gram.T  # M itself, in Fortran order
-        a.flat[:: n + 1] += self.alpha
-        L, _ = _cho_factor(a, overwrite=True)  # in a's lower triangle
-        for r in range(n):
-            self._ap[r * (r + 1) // 2: (r + 1) * (r + 2) // 2] = L[r, : r + 1]
-        self.refreshes += 1
 
     def audit(self, gram: np.ndarray) -> float:
         """Max-abs deviation of (LLᵀ)⁻¹(M + alpha I) from the identity, for

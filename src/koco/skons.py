@@ -64,11 +64,6 @@ class SketchedKons(NewtonCore):
         self.rejected_appends = 0       # accepted coins demoted by a singular append
         self._coin_rng = named_rng(cfg.kors.rng_seed, "sketch-coins")
 
-    @property
-    def refreshes(self) -> int:
-        """Rebuilds of the sketch and of the sampler's factor so far."""
-        return self.dict.solver.refreshes + self.kors.dict.solver.refreshes
-
     def _select(self, x, d_t, kc, w, u, kdiag, q_raw):
         # independent sampler: only its leverage estimate crosses over; its
         # members are past rounds, so their column is gathered from kc

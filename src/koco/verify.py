@@ -16,7 +16,7 @@ import numpy as np
 from . import harness, kernels, linalg, losses, oracle, streams
 from .kernels import gaussian, gram, linear
 from .kors import KorsSampler, dict_size_bound
-from .linalg import REFRESH_EVERY, RegularizedFactor, RegularizedInverse, psd_solve
+from .linalg import RegularizedFactor, RegularizedInverse, psd_solve
 from .losses import LossEvent, curvature_profile
 from .rng import named_rng
 from .skons import sandwich_audit
@@ -252,10 +252,10 @@ def criterion_7_alternating_adversary():
 
 def criterion_8_matrix_identities():
     """Primal/dual shift-inverse identity at 1e-9 and append-composition
-    at 1e-8 over 100 random instances each, one of them of order 600,
-    past the refresh from its matrix at order REFRESH_EVERY: the grown
-    inverse against a direct solve, and the grown Cholesky factor grown
-    on the same borders by its audit against M."""
+    at 1e-8 over 100 random instances each, one of them of order 600:
+    the grown inverse, rebuilt from its matrix whenever its append says
+    so, against a direct solve, and the Cholesky factor grown on the same
+    borders, never rebuilt, by its audit against M."""
     rng = named_rng(8, "criterion-8")
     worst_identity = 0.0
     for _ in range(100):
@@ -275,15 +275,13 @@ def criterion_8_matrix_identities():
     for case in range(100):
         t = int(rng.integers(2, 41)) if case else 600
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
-        solvers = (RegularizedInverse(alpha), RegularizedFactor(alpha))
+        ri, rf = RegularizedInverse(alpha), RegularizedFactor(alpha)
         rows = rng.normal(size=(t, 6))
         M = rows @ rows.T / 6.0
         for j in range(t):
-            for solver in solvers:
-                solver.append(M[:j, j], M[j, j])
-                if solver.order % REFRESH_EVERY == 0:
-                    solver.refresh(M[: j + 1, : j + 1].copy())
-        ri, rf = solvers
+            if ri.append(M[:j, j], M[j, j]):
+                ri.refresh(M[: j + 1, : j + 1].copy())
+            rf.append(M[:j, j], M[j, j])
         direct = psd_solve(M, alpha, np.eye(t))
         worst_compose = max(worst_compose, float(np.max(np.abs(ri.inv - direct))))
         worst_factor = max(worst_factor, rf.audit(M))

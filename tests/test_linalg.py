@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koco import kors
+from koco import linalg
 from koco.errors import NoConvergence, NotPositiveDefinite, SchurNotPositive
 from koco.kernels import cross_vector, gaussian, linear, polynomial
 from koco.kons import Kons, KonsConfig
@@ -102,16 +102,6 @@ def bordered_reference(inv, cross, diag, alpha):
     return out
 
 
-def refresh_at_the_period(ri, M):
-    """What an owner does after an append: at every REFRESH_EVERY-th order,
-    rebuild the inverse from (a copy of, as refresh consumes it) its M."""
-    n = ri.order
-    if n % REFRESH_EVERY:
-        return False
-    ri.refresh(M[:n, :n].copy())
-    return True
-
-
 @pytest.mark.parametrize("supplied", [False, True], ids=["computed", "supplied"])
 def test_append_is_bit_identical_to_unblocked_formula(supplied):
     # past the first refresh, at orders whose update takes several row blocks
@@ -124,9 +114,11 @@ def test_append_is_bit_identical_to_unblocked_formula(supplied):
     for j in range(n):
         cross, diag = M[:j, j], M[j, j]
         expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
-        ri.append(cross, diag, inv_cross=ri.apply(cross) if supplied else None)
+        due = ri.append(cross, diag, inv_cross=ri.apply(cross) if supplied else None)
         assert np.array_equal(ri.inv, expected), f"order {j + 1}"
-        if refresh_at_the_period(ri, M):
+        assert due == ((j + 1) % REFRESH_EVERY == 0), f"order {j + 1}"
+        if due:
+            ri.refresh(M[: j + 1, : j + 1].copy())  # refresh consumes its gram
             expected = psd_solve(M[: j + 1, : j + 1], 0.9, np.eye(j + 1))
             assert np.array_equal(ri.inv, expected), f"refresh at order {j + 1}"
     assert ri.refreshes == 1
@@ -146,9 +138,10 @@ def test_padded_layout_reads_the_unblocked_values(n):
     for j in range(n):
         cross, diag = M[:j, j], M[j, j]
         expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
-        ri.append(cross, diag)
+        due = ri.append(cross, diag)
         assert np.array_equal(ri.inv, expected), f"order {j + 1}"
-        if refresh_at_the_period(ri, M):
+        if due:
+            ri.refresh(M[: j + 1, : j + 1].copy())
             expected = psd_solve(M[: j + 1, : j + 1], 0.9, np.eye(j + 1))
             assert np.array_equal(ri.inv, expected), f"refresh at order {j + 1}"
         assert np.array_equal(ri.apply(v[: j + 1]),
@@ -226,10 +219,11 @@ def test_non_finite_cross_fails_the_schur_test(bad):
 
 
 def test_factor_scores_match_the_inverse(monkeypatch):
-    # two stores admit the same weighted columns, past two refreshes; the
-    # factor's scores |L⁻¹c|² are the inverse's cᵀ(M + alpha I)⁻¹c up to
-    # rounding, and each solver still solves with the rebuilt M
-    monkeypatch.setattr(kors, "REFRESH_EVERY", 128)
+    # two stores admit the same weighted columns, the inverse's past two
+    # refreshes and the factor's never rebuilt; the factor's scores |L⁻¹c|²
+    # are the inverse's cᵀ(M + alpha I)⁻¹c up to rounding, and each solver
+    # still solves with the rebuilt M
+    monkeypatch.setattr(linalg, "REFRESH_EVERY", 128)
     rng = np.random.default_rng(13)
     kernel = gaussian(1.0)
     stores = [Dictionary(kernel, RegularizedInverse(1.0)),
@@ -246,8 +240,10 @@ def test_factor_scores_match_the_inverse(monkeypatch):
         assert abs(s_fac - s_inv) <= 1e-12 * abs(s_inv), f"order {j}"
         for store, (_, product) in zip(stores, scores):
             store.admit(x, d_t, j, prob, cross, d_t * d_t, product)
+    inverse, factor = (store.solver for store in stores)
+    assert inverse.refreshes == 2 and not hasattr(factor, "refresh")
     for store in stores:
-        assert store.solver.order == 300 and store.solver.refreshes == 2
+        assert store.solver.order == 300
         assert store.solver.audit(store.gram()) <= 1e-10
 
 
@@ -293,9 +289,10 @@ def capture_borders(monkeypatch) -> dict:
     borders = {}
     for cls in SOLVERS:
         def recording(self, cross, diag, product=None, append=cls.append):
-            append(self, cross, diag, product)
+            due = append(self, cross, diag, product)
             borders.setdefault(self, []).append((np.array(cross, dtype=np.float64),
                                                  float(diag)))
+            return due
 
         monkeypatch.setattr(cls, "append", recording)
     return borders

@@ -259,7 +259,7 @@ class RunSummary:
     r_d: float | None
     final_dict_size: int
     final_sampler_size: int
-    rejected_appends: int  # sketch appends demoted by a singular Schur complement
+    rejected_appends: int  # accepted columns demoted by a singular Schur complement
     refreshes: int         # preconditioner rebuilds (one per REFRESH_EVERY appends)
     q_floor_clamps: int    # nonzero-derivative rounds whose q_t was floored at Q_FLOOR
     audit_residual: float  # largest final solver audit over the learner's stores (0 for none)

@@ -5,11 +5,11 @@ predict from a coefficient vector b over past rounds and a maintained
 regularized inverse of the gradient-rescaled gram matrix, then fold the
 observed derivative into one new coefficient and, when the round's
 column is selected, one appended row/column. `NewtonCore` holds all of
-this; the exact learner `Kons` selects every column and the sketched
-learner (`koco.skons`) selects by a sampler coin. The exact learner's
-predictions provably coincide with the explicit-feature projected
-Newton recursion, which the test suite checks against the oracle module
-at every step.
+this, admission included, and by default selects every column: the exact
+learner `Kons`; the sketched learner (`koco.skons`) selects by a sampler
+coin. The exact learner's predictions provably coincide with the
+explicit-feature projected Newton recursion, which the test suite checks
+against the oracle module at every step.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SchurNotPositive
 # eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
 # stays because perfbench's tracer hooks its kernels.diag layer on it
-from .kernels import KernelSpec, cross_vector, eval_kernel  # noqa: F401
+from .kernels import KernelSpec, cross_vector, eval_kernel, rescaled_gram  # noqa: F401
 from .kors import Dictionary
 from .linalg import RegularizedInverse, grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
@@ -76,25 +77,27 @@ class StepRecord:
     eta: float
     tau: float           # leverage of the round in the learner's preconditioner
     p_accept: float      # sampling probability (1 for exact learners)
-    accepted: int        # coin outcome (1 for exact learners)
+    accepted: int        # coin outcome, 0 if demoted (else 1 for exact learners)
     dict_size: int       # preconditioner support size after the round
     rg_increment: float  # gradient-term regret increment of the round
     elapsed_us: float = 0.0
 
 
 class NewtonCore:
-    """Kernel Newton-step learner with clipped predictions, less its
-    column-selection policy.
+    """Kernel Newton-step learner with clipped predictions.
 
     One instance owns one stream; `step` is the driver path (predict,
     observe, and account in one call). Each round predicts from the dual
     coefficients b and the preconditioner, folds the observed derivative
     into one new coefficient, and offers the round's rescaled kernel
-    column to the subclass's `_select`. That hook returns the record's
-    (tau, p_accept, accepted) and admits a column that enters the
-    preconditioner. The preconditioner is a `Dictionary`, `dict`, over a
+    column to `_select`. The hook decides, the core admits: `_select`
+    returns the record's (tau, p_accept, accepted), and the core appends
+    an accepted column to the preconditioner. A singular append demotes
+    the round to rejected and counts it in `rejected_appends`; a dropped
+    column costs regret, never correctness. The default `_select` accepts
+    every column. The preconditioner is a `Dictionary`, `dict`, over a
     `RegularizedInverse`, since each round multiplies by the inverse; its
-    members are the selected rounds at probability 1 (so at weight one),
+    members are the admitted rounds at probability 1 (so at weight one),
     and it refreshes its inverse from its members' gram every
     REFRESH_EVERY columns; `refreshes` counts those rebuilds, the only
     ones a learner has (the sampler's Cholesky factor is never rebuilt).
@@ -113,6 +116,7 @@ class NewtonCore:
         self._b = np.zeros(16)       # dual coefficients
         self._kbar_b = np.zeros(16)  # cached rescaled-gram @ b
         self.q_floor_clamps = 0  # nonzero-derivative rounds whose q_t fell below Q_FLOOR
+        self.rejected_appends = 0  # accepted columns demoted by a singular append
 
     # -- buffers ---------------------------------------------------------
 
@@ -156,10 +160,9 @@ class NewtonCore:
 
     def predict(self, x) -> tuple[float, float]:
         """(unclipped, clipped) prediction for input x; state untouched."""
-        return self._predict(cross_vector(self.kernel, self.points, x))
+        return self._predict(cross_vector(self.kernel, self.points, x) * self.d_scale)
 
-    def _predict(self, k: np.ndarray) -> tuple[float, float]:
-        kd = k * self.d_scale
+    def _predict(self, kd: np.ndarray) -> tuple[float, float]:
         corr = self._cols(kd) @ self.dict.solver.apply(self._cols(self.kbar_b))
         ybar = (float(kd @ self.b) - float(corr)) / self._kcfg.alpha
         return ybar, clip_to_interval(ybar, self._kcfg.clip_c)
@@ -173,8 +176,8 @@ class NewtonCore:
         t_new = self.t + 1
         if not np.isfinite(x).all():
             raise ValueError(f"round {t_new}: point contains NaN/Inf")
-        k = cross_vector(self.kernel, self.points, x)
-        ybar, yhat = self._predict(k)
+        kd = cross_vector(self.kernel, self.points, x) * self.d_scale
+        ybar, yhat = self._predict(kd)
 
         cfg = self._kcfg
         eta = eta_at(cfg, t_new)
@@ -184,7 +187,7 @@ class NewtonCore:
         # rescaled kernel row of the new point (zero row when gdot == 0,
         # which leaves the preconditioner untouched, as it must); every
         # kernel in koco.kernels has k(x, x) = 1, so the corner is d_t^2
-        kc = k * self.d_scale * d_t
+        kc = kd * d_t
         kdiag = d_t * d_t
         w = self._cols(kc)
         u = self.dict.solver.apply(w)
@@ -194,11 +197,21 @@ class NewtonCore:
         # d_t * (ybar - yhat) / q below is 0 whatever q is
         self.q_floor_clamps += d_t != 0.0 and q_raw < Q_FLOOR
         b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / np.sqrt(eta)
+        # leverage of the round in its own (post-update) preconditioner:
+        # q/(1+q) from the bordered corner if its column enters, else q
+        q_pos = max(q_raw, 0.0)
+        own = q_pos / (1.0 + q_pos)
 
         if self.t == 0:
             self._pts = np.zeros((16, x.shape[0]))
         self._grow(t_new)
-        tau, p_accept, accepted = self._select(x, d_t, kc, w, u, kdiag, q_raw)
+        tau, p_accept, accepted = self._select(x, d_t, kc, own)
+        if accepted:
+            try:
+                self.dict.admit(x, d_t, self.t, 1.0, w, kdiag, u)
+            except SchurNotPositive:
+                self.rejected_appends += 1
+                accepted = 0
 
         self._pts[self.t] = x
         self._d[self.t] = d_t
@@ -207,11 +220,7 @@ class NewtonCore:
         self._kbar_b[self.t] = float(kc @ self.b) + kdiag * b_t
         self.t = t_new
 
-        # leverage of the round in its own (post-update) preconditioner:
-        # the bordered corner gives q/(1+q) when its column entered, and
-        # q is the leverage against the preconditioner otherwise
-        q_pos = max(q_raw, 0.0)
-        rg_inc = (q_pos / (1.0 + q_pos) if accepted else q_pos) / eta
+        rg_inc = (own if accepted else q_pos) / eta
 
         rec = StepRecord(t=t_new, ybar=ybar, yhat=yhat,
                          loss=loss_value(ev, yhat), gdot=gdot, eta=eta,
@@ -221,35 +230,31 @@ class NewtonCore:
         self.records.append(rec)
         return rec
 
-    def _select(self, x: np.ndarray, d_t: float, kc: np.ndarray, w: np.ndarray,
-                u: np.ndarray, kdiag: float, q_raw: float) -> tuple[float, float, int]:
-        """(tau, p_accept, accepted) of the round whose rescaled row over
-        every past round is kc, restricted column w, with preconditioner
-        product u, and corner kdiag; admits the column when it is
-        accepted (`dict.admit` at probability 1)."""
-        raise NotImplementedError
+    def _select(self, x: np.ndarray, d_t: float, kc: np.ndarray,
+                own: float) -> tuple[float, float, int]:
+        """(tau, p_accept, accepted) of the round at x, whose rescaled row
+        over every past round is kc and whose leverage, were its column
+        admitted, is `own`. The default accepts every column."""
+        return own, 1.0, 1
+
+    # -- audits ----------------------------------------------------------
+
+    def audit_cache(self) -> float:
+        """Max-abs deviation of the cached gram@b vector from the gram of
+        every round, rebuilt from scratch."""
+        if self.t == 0:
+            return 0.0
+        K = rescaled_gram(self.kernel, self.points, self.d_scale, np.ones(self.t))
+        return float(np.max(np.abs(K @ self.b - self.kbar_b)))
 
 
 class Kons(NewtonCore):
     """Exact second-order kernel online learner with clipped predictions.
 
-    Every round's column enters the preconditioner, so state grows by
-    one rescaled kernel row per round and round t costs O(t^2) time.
+    The core's default policy: every column is selected, so state grows by
+    one rescaled kernel row per round and round t costs O(t^2) time. A
+    singular append is demoted as for any learner.
     """
 
     def __init__(self, kernel: KernelSpec, cfg: KonsConfig):
         super().__init__(kernel, cfg, cfg)
-
-    def _select(self, x, d_t, kc, w, u, kdiag, q_raw):
-        # a singular append raises SchurNotPositive and aborts the round
-        self.dict.admit(x, d_t, self.t, 1.0, w, kdiag, u)
-        q_pos = max(q_raw, 0.0)
-        return q_pos / (1.0 + q_pos), 1.0, 1
-
-    # -- audits ----------------------------------------------------------
-
-    def audit_cache(self) -> float:
-        """Max-abs deviation of the cached gram@b vector from scratch."""
-        if self.t == 0:
-            return 0.0
-        return float(np.max(np.abs(self.dict.gram() @ self.b - self.kbar_b)))

@@ -168,7 +168,7 @@ class KorsSampler:
 
     `d_t` below is the per-round rescale factor of the feature (1 for a
     plain kernel stream); kernel evaluations only ever touch dictionary
-    members, none when the caller passes their column, so a step costs
+    members, none when the caller passes its kernel row, so a step costs
     O(size^2).
     """
 
@@ -190,7 +190,7 @@ class KorsSampler:
         ks = cross_vector(self.kernel, self.dict.points, x)
         return ks * self.dict.d_scale * d_t * self.dict.sweights
 
-    def step(self, x, d_t: float = 1.0, cross: np.ndarray | None = None) -> KorsStep:
+    def step(self, x, d_t: float = 1.0, row: np.ndarray | None = None) -> KorsStep:
         """Score one stream point, flip its coin, and admit it on success.
 
         The score (1+eps)(1 - alpha/s) over-estimates the leverage of x
@@ -207,14 +207,17 @@ class KorsSampler:
         packed triangular solve, and an admission reuses that solve as
         the new row of L: O(size²) to score, O(size) more to admit.
 
-        `cross`, when given, is the members' weighted rescaled column of
-        an already checked x, which is then neither checked nor evaluated.
+        `row`, when given, is the rescaled kernel row of an already checked
+        x over every point scored before it; the members' weighted column
+        is gathered from it, and x is neither checked nor evaluated.
         """
-        if cross is None:
+        if row is None:
             x = np.asarray(x, dtype=np.float64).reshape(-1)
             if not np.isfinite(x).all():
                 raise ValueError(f"round {self._rounds + 1}: point contains NaN/Inf")
             cross = self._member_column(x, d_t)
+        else:
+            cross = row[self.dict.indices] * self.dict.sweights
         index = self._rounds
         self._rounds += 1
         kdiag = d_t * d_t  # k(x, x) = 1 for every kernel in koco.kernels

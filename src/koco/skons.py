@@ -3,10 +3,11 @@
 Second-order updates run against an unweighted sketch of the
 preconditioner: each round an independent leverage-score sampler scores
 the incoming gradient direction, the acceptance probability is floored
-at gamma, and only accepted directions enter the preconditioner. Cost
-per round is O(t) for the one kernel row, which the sampler gathers its
-members' column from, plus O(size^2) for the sketch and the sampler,
-against the exact learner's O(t^2).
+at gamma, and `NewtonCore.step` admits the accepted directions as it
+does the exact learner's, so at gamma = 1 this is `Kons`. Cost per round
+is O(t) for the one kernel row, which the sampler gathers its members'
+column from, plus O(size^2) for the sketch and the sampler, against the
+exact learner's O(t^2).
 
 Why unweighted columns: reweighting admitted terms by 1/probability
 would make the sketch unbiased, but a small acceptance probability then
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .errors import SchurNotPositive
 from .kernels import KernelSpec, gram
 from .kons import ETA_FIXED_SIGMA, KonsConfig, NewtonCore
 from .kors import KorsConfig, KorsSampler
@@ -61,39 +61,29 @@ class SketchedKons(NewtonCore):
     def __init__(self, kernel: KernelSpec, cfg: SkonsConfig):
         super().__init__(kernel, cfg, cfg.kons)
         self.kors = KorsSampler(kernel, cfg.kors)
-        self.rejected_appends = 0       # accepted coins demoted by a singular append
         self._coin_rng = named_rng(cfg.kors.rng_seed, "sketch-coins")
 
-    def _select(self, x, d_t, kc, w, u, kdiag, q_raw):
+    def _select(self, x, d_t, kc, own):
         # independent sampler: only its leverage estimate crosses over; its
-        # members are past rounds, so their column is gathered from kc
-        members = self.kors.dict
-        kres = self.kors.step(x, d_t, cross=kc[members.indices] * members.sweights)
+        # members are past rounds, so it gathers their column from kc
+        kres = self.kors.step(x, d_t, row=kc)
         p = max(min(self.cfg.kors.beta * kres.tau_tilde, 1.0), self.cfg.gamma)
-        accepted = bernoulli(self._coin_rng, p)
-        if accepted:
-            try:
-                self.dict.admit(x, d_t, self.t, 1.0, w, kdiag, u)
-            except SchurNotPositive:
-                # a dropped column costs regret, never correctness
-                self.rejected_appends += 1
-                accepted = 0
-        return kres.tau_tilde, p, accepted
+        return kres.tau_tilde, p, bernoulli(self._coin_rng, p)
 
 
 # ---------------------------------------------------------------------------
 # spectral audit of the sketch against the exact preconditioner
 # ---------------------------------------------------------------------------
 
-def sandwich_audit(learner: SketchedKons, upto: int | None = None) -> tuple[float, float]:
+def sandwich_audit(learner: SketchedKons) -> tuple[float, float]:
     """Extreme generalized eigenvalues of the sketched preconditioner
-    against the exact one over the first `upto` rounds (dual form)."""
-    t = learner.t if upto is None else min(upto, learner.t)
+    against the exact one over every round so far (dual form)."""
+    t = learner.t
     if t == 0:
         return 1.0, 1.0
     alpha = learner.cfg.kons.alpha
-    D = learner.d_scale[:t]
-    Kbar = gram(learner.kernel, learner.points[:t]) * np.outer(D, D)
+    D = learner.d_scale
+    Kbar = gram(learner.kernel, learner.points) * np.outer(D, D)
     sq = learner.dict.selection_sq_weights(t)
     exact = Kbar + alpha * np.eye(t)
     sketch = oracle.dual_preconditioner(Kbar, sq, alpha)

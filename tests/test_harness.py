@@ -218,25 +218,26 @@ def test_no_bound_outside_the_newton_step_theorem(tmp_path, text):
 
 
 @pytest.mark.parametrize("learner", ["kons", "gd-baseline"])
-def test_summary_reports_no_rejected_appends_without_a_sketch(tmp_path, learner):
+def test_summary_reports_no_rejected_appends_on_a_regular_stream(tmp_path, learner):
     cfg = parse_config_text(BASE_CONFIG.replace("learner = kons", f"learner = {learner}"))
     _, summary = run_experiment(cfg, 0, tmp_path)
     assert summary.rejected_appends == 0
     assert "\nrejected_appends=0\n" in summary.as_text()
 
 
-def test_summary_reports_rejected_appends(tmp_path):
-    # the adversary replays one point: at alpha 1e-13 every sketch append
-    # after the first is singular, and at beta 1e-3 the sampler admits
-    # nothing
-    text = (BASE_CONFIG.replace("learner = kons", "learner = skons")
+@pytest.mark.parametrize("learner", ["kons", "skons"])
+def test_summary_reports_rejected_appends(tmp_path, learner):
+    # the adversary replays one point: at alpha 1e-13 every append after
+    # the first is singular, and both Newton-step learners demote the
+    # round; at beta 1e-3 the sketch's sampler admits nothing
+    text = (BASE_CONFIG.replace("learner = kons", f"learner = {learner}")
             .replace("generator = rkhs-target", "generator = sixsix-adversary")
             .replace("alpha = 1.0", "alpha = 1e-13")
             + "gamma = 1.0\nbeta = 0.001\ncomparator = false\n")
     _, summary = run_experiment(parse_config_text(text), 0, tmp_path)
     assert summary.final_dict_size == 1 and summary.final_sampler_size == 0
     assert summary.rejected_appends == 39
-    assert "\nrejected_appends=39\n" in (tmp_path / "summary_skons_0.txt").read_text()
+    assert "\nrejected_appends=39\n" in (tmp_path / f"summary_{learner}_0.txt").read_text()
 
 
 def test_singular_sampler_score_demotes_the_round(tmp_path):

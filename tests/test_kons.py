@@ -207,7 +207,9 @@ def test_audits_hold_past_two_refreshes():
         assert store.solver.order >= 2 * REFRESH_EVERY
         assert store.solver.audit(store.gram()) <= 1e-8
     assert exact.dict.solver.refreshes == sketched.dict.solver.refreshes == 2
+    # the cached gram@b covers every round, the sketch's too
     assert exact.audit_cache() <= 1e-8
+    assert sketched.audit_cache() <= 1e-8
 
 
 @pytest.mark.slow

@@ -50,17 +50,24 @@ def test_empty_history_predicts_zero():
 
 
 def test_gamma_one_equals_exact_learner():
-    events = stream(0, 200, noise_sd=0.1)
-    exact = Kons(gaussian(1.0), squared_cfg())
-    sketch = SketchedKons(gaussian(1.0), sketch_cfg(1.0))
-    run(exact, events)
-    run(sketch, events)
-    # one Newton-step core: with every column accepted the rounds agree
-    # bit for bit
-    fields = ("ybar", "yhat", "gdot", "rg_increment", "dict_size")
-    for re_, rs in zip(exact.records, sketch.records, strict=True):
-        assert [getattr(re_, f) for f in fields] == [getattr(rs, f) for f in fields]
-    assert all(r.accepted == 1 for r in sketch.records)
+    cases = [(stream(0, 200, noise_sd=0.1), 1.0, 30.0, 0),
+             # one replayed point at alpha 1e-13: every append after the
+             # first is singular, and both learners demote the round
+             (stream(0, 40, generator="sixsix-adversary", dim=2, noise_sd=0.1),
+              1e-13, 1e-3, 39)]
+    for events, alpha, beta, rejected in cases:
+        exact = Kons(gaussian(1.0), squared_cfg(alpha=alpha))
+        sketch = SketchedKons(gaussian(1.0), sketch_cfg(1.0, alpha=alpha, beta=beta))
+        run(exact, events)
+        run(sketch, events)
+        # one Newton-step core and one admission path: with every coin
+        # accepted the rounds agree bit for bit
+        fields = ("ybar", "yhat", "gdot", "p_accept", "accepted", "rg_increment",
+                  "dict_size")
+        for re_, rs in zip(exact.records, sketch.records, strict=True):
+            assert [getattr(re_, f) for f in fields] == [getattr(rs, f) for f in fields]
+        assert exact.rejected_appends == sketch.rejected_appends == rejected
+        assert sum(r.accepted for r in sketch.records) == len(events) - rejected
 
 
 def test_forced_acceptance_equals_exact_learner():

@@ -350,11 +350,12 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
 
     The regret R_T is the cumulative loss less the comparator's, and the
     two terms that Theorem 1 bounds it by are R_G, the sum of the records'
-    gradient-term increments, and R_D = sum_t (eta_t - sigma) gdot_t^2
-    (yhat_t - u_t)^2, with u_t the comparator's prediction and sigma the
-    loss family's curvature constant on [-C, C]. The regret bound covers
-    fixed-sigma `kons` (floor 1) and `skons` (floor max(gamma, beta * min
-    prefix leverage)), nothing else."""
+    gradient-term increments, and R_D = sum_t (eta_t z_t - sigma) gdot_t^2
+    (yhat_t - u_t)^2, with u_t the comparator's prediction, sigma the
+    loss family's curvature constant on [-C, C], and z_t the coin: a
+    preconditioner gains eta_t g_t g_t^T only on a round whose column
+    entered. The regret bound covers fixed-sigma `kons` (floor 1) and
+    `skons` (floor max(gamma, beta * min prefix leverage)), nothing else."""
     records = learner.records
     prof = curvature_profile(cfg.loss_family, cfg.clip_c)
     cumulative = float(sum(r.loss for r in records))
@@ -367,15 +368,14 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
             raise ValueError("trace and comparator cover different horizons")
         comparator_loss = comparator.total_loss
         r_t = cumulative - comparator.total_loss
-        r_d = float(sum((r.eta - prof.sigma) * r.gdot**2
+        r_d = float(sum((r.eta * r.accepted - prof.sigma) * r.gdot**2
                         * (r.yhat - comparator.preds[i]) ** 2
                         for i, r in enumerate(records)))
         floor = 0.0  # no bound applies
         if cfg.eta_mode == "fixed-sigma" and cfg.learner == "kons":
             floor = 1.0
         elif cfg.eta_mode == "fixed-sigma" and cfg.learner == "skons":
-            D = learner.d_scale
-            tau_min = float(oracle.prefix_rls(K * np.outer(D, D), cfg.alpha).min())
+            tau_min = float(oracle.prefix_rls(learner.gram(), cfg.alpha).min())
             floor = max(cfg.gamma, cfg.kors_config(seed).beta * tau_min)
         if floor > 0:
             bound_value = oracle.regret_bound(K, comparator.norm_sq, cfg.alpha,

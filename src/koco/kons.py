@@ -95,13 +95,15 @@ class NewtonCore:
     an accepted column to the preconditioner. A singular append demotes
     the round to rejected and counts it in `rejected_appends`; a dropped
     column costs regret, never correctness. The default `_select` accepts
-    every column. The preconditioner is a `Dictionary`, `dict`, over a
-    `RegularizedInverse`, since each round multiplies by the inverse; its
-    members are the admitted rounds at probability 1 (so at weight one),
-    and it refreshes its inverse from its members' gram every
-    REFRESH_EVERY columns; `refreshes` counts those rebuilds, the only
-    ones a learner has (the sampler's Cholesky factor is never rebuilt).
-    Kernel rows, b and the cached rescaled-gram @ b cover every round.
+    every column and records the round's own leverage, q/(1+q) if its
+    column entered, q if it was demoted. The preconditioner is a
+    `Dictionary`, `dict`, over a `RegularizedInverse`, since each round
+    multiplies by the inverse; its members are the admitted rounds at
+    probability 1 (so at weight one), and it refreshes its inverse from
+    its members' gram every REFRESH_EVERY columns; `refreshes` counts
+    those rebuilds, the only ones a learner has (the sampler's Cholesky
+    factor is never rebuilt). Kernel rows, b, the cached rescaled-gram @ b
+    and `gram()` cover every round.
     """
 
     def __init__(self, kernel: KernelSpec, cfg, kons_cfg: KonsConfig):
@@ -148,14 +150,6 @@ class NewtonCore:
         """Rebuilds of the preconditioner so far."""
         return self.dict.solver.refreshes
 
-    def _cols(self, v: np.ndarray) -> np.ndarray:
-        """v restricted to the preconditioner's rounds."""
-        # member rounds are distinct and increasing, so t of them are
-        # 0..t-1 and v is its own restriction
-        if len(self.dict) == self.t:
-            return v
-        return v[self.dict.indices]
-
     # -- prediction ------------------------------------------------------
 
     def predict(self, x) -> tuple[float, float]:
@@ -163,7 +157,8 @@ class NewtonCore:
         return self._predict(cross_vector(self.kernel, self.points, x) * self.d_scale)
 
     def _predict(self, kd: np.ndarray) -> tuple[float, float]:
-        corr = self._cols(kd) @ self.dict.solver.apply(self._cols(self.kbar_b))
+        members = self.dict.indices
+        corr = kd[members] @ self.dict.solver.apply(self.kbar_b[members])
         ybar = (float(kd @ self.b) - float(corr)) / self._kcfg.alpha
         return ybar, clip_to_interval(ybar, self._kcfg.clip_c)
 
@@ -189,7 +184,7 @@ class NewtonCore:
         # kernel in koco.kernels has k(x, x) = 1, so the corner is d_t^2
         kc = kd * d_t
         kdiag = d_t * d_t
-        w = self._cols(kc)
+        w = kc[self.dict.indices]
         u = self.dict.solver.apply(w)
         q_raw = (kdiag - float(w @ u)) / cfg.alpha
         q = max(q_raw, Q_FLOOR)
@@ -197,15 +192,11 @@ class NewtonCore:
         # d_t * (ybar - yhat) / q below is 0 whatever q is
         self.q_floor_clamps += d_t != 0.0 and q_raw < Q_FLOOR
         b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / np.sqrt(eta)
-        # leverage of the round in its own (post-update) preconditioner:
-        # q/(1+q) from the bordered corner if its column enters, else q
-        q_pos = max(q_raw, 0.0)
-        own = q_pos / (1.0 + q_pos)
 
         if self.t == 0:
             self._pts = np.zeros((16, x.shape[0]))
         self._grow(t_new)
-        tau, p_accept, accepted = self._select(x, d_t, kc, own)
+        tau, p_accept, accepted = self._select(x, d_t, kc)
         if accepted:
             try:
                 self.dict.admit(x, d_t, self.t, 1.0, w, kdiag, u)
@@ -220,32 +211,43 @@ class NewtonCore:
         self._kbar_b[self.t] = float(kc @ self.b) + kdiag * b_t
         self.t = t_new
 
-        rg_inc = (own if accepted else q_pos) / eta
+        # leverage of the round in its own (post-update) preconditioner:
+        # q/(1+q) from the bordered corner if its column entered, else q
+        q_pos = max(q_raw, 0.0)
+        own = q_pos / (1.0 + q_pos) if accepted else q_pos
 
         rec = StepRecord(t=t_new, ybar=ybar, yhat=yhat,
                          loss=loss_value(ev, yhat), gdot=gdot, eta=eta,
-                         tau=tau, p_accept=p_accept, accepted=accepted,
-                         dict_size=len(self.dict), rg_increment=rg_inc)
+                         tau=own if tau is None else tau, p_accept=p_accept,
+                         accepted=accepted, dict_size=len(self.dict),
+                         rg_increment=own / eta)
         rec.elapsed_us = (time.perf_counter_ns() - tic) / 1e3
         self.records.append(rec)
         return rec
 
-    def _select(self, x: np.ndarray, d_t: float, kc: np.ndarray,
-                own: float) -> tuple[float, float, int]:
+    def _select(self, x: np.ndarray, d_t: float,
+                kc: np.ndarray) -> tuple[float | None, float, int]:
         """(tau, p_accept, accepted) of the round at x, whose rescaled row
-        over every past round is kc and whose leverage, were its column
-        admitted, is `own`. The default accepts every column."""
-        return own, 1.0, 1
+        over every past round is kc; a tau of None records the round's own
+        leverage once the core has admitted or demoted its column. The
+        default accepts every column."""
+        return None, 1.0, 1
 
     # -- audits ----------------------------------------------------------
+
+    def gram(self) -> np.ndarray:
+        """The gradient-rescaled gram k(x_i, x_j)·d_i·d_j of every round so
+        far, rebuilt from the points: below the diagonal, row t holds bit
+        for bit the rescaled row `kc` that round t formed, and the matrix
+        is its mirror."""
+        return rescaled_gram(self.kernel, self.points, self.d_scale, np.ones(self.t))
 
     def audit_cache(self) -> float:
         """Max-abs deviation of the cached gram@b vector from the gram of
         every round, rebuilt from scratch."""
         if self.t == 0:
             return 0.0
-        K = rescaled_gram(self.kernel, self.points, self.d_scale, np.ones(self.t))
-        return float(np.max(np.abs(K @ self.b - self.kbar_b)))
+        return float(np.max(np.abs(self.gram() @ self.b - self.kbar_b)))
 
 
 class Kons(NewtonCore):

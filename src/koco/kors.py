@@ -183,13 +183,6 @@ class KorsSampler:
     def size(self) -> int:
         return len(self.dict)
 
-    def _member_column(self, x: np.ndarray, d_t: float) -> np.ndarray:
-        """Weighted rescaled kernel column of x against the members (empty
-        before the first admission; `cross_vector` checks x either way, so
-        a bad point fails now, not when it is a member)."""
-        ks = cross_vector(self.kernel, self.dict.points, x)
-        return ks * self.dict.d_scale * d_t * self.dict.sweights
-
     def step(self, x, d_t: float = 1.0, row: np.ndarray | None = None) -> KorsStep:
         """Score one stream point, flip its coin, and admit it on success.
 
@@ -215,7 +208,10 @@ class KorsSampler:
             x = np.asarray(x, dtype=np.float64).reshape(-1)
             if not np.isfinite(x).all():
                 raise ValueError(f"round {self._rounds + 1}: point contains NaN/Inf")
-            cross = self._member_column(x, d_t)
+            # empty before the first admission; cross_vector checks x
+            # either way, so a bad point fails now, not as a member
+            ks = cross_vector(self.kernel, self.dict.points, x)
+            cross = ks * self.dict.d_scale * d_t * self.dict.sweights
         else:
             cross = row[self.dict.indices] * self.dict.sweights
         index = self._rounds

@@ -321,8 +321,6 @@ class RegularizedInverse:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(M + alpha I)^{-1} v."""
-        if self.order == 0:
-            return np.zeros(0)
         return self.inv @ np.asarray(v, dtype=np.float64)
 
     # -- bookkeeping ---------------------------------------------------

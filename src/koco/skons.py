@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec
 from .kons import ETA_FIXED_SIGMA, KonsConfig, NewtonCore
 from .kors import KorsConfig, KorsSampler
 from .rng import bernoulli, named_rng
@@ -63,7 +63,7 @@ class SketchedKons(NewtonCore):
         self.kors = KorsSampler(kernel, cfg.kors)
         self._coin_rng = named_rng(cfg.kors.rng_seed, "sketch-coins")
 
-    def _select(self, x, d_t, kc, own):
+    def _select(self, x, d_t, kc):
         # independent sampler: only its leverage estimate crosses over; its
         # members are past rounds, so it gathers their column from kc
         kres = self.kors.step(x, d_t, row=kc)
@@ -82,8 +82,7 @@ def sandwich_audit(learner: SketchedKons) -> tuple[float, float]:
     if t == 0:
         return 1.0, 1.0
     alpha = learner.cfg.kons.alpha
-    D = learner.d_scale
-    Kbar = gram(learner.kernel, learner.points) * np.outer(D, D)
+    Kbar = learner.gram()
     sq = learner.dict.selection_sq_weights(t)
     exact = Kbar + alpha * np.eye(t)
     sketch = oracle.dual_preconditioner(Kbar, sq, alpha)

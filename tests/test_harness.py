@@ -12,7 +12,7 @@ from koco.harness import (TRACE_COLUMNS, ExperimentConfig, GdBaseline, parse_con
                           run_experiment, run_stream, summarize_run)
 from koco.kernels import gaussian, gram
 from koco.linalg import REFRESH_EVERY
-from koco.losses import LossEvent
+from koco.losses import LossEvent, curvature_profile, loss_value
 from koco.oracle import ComparatorResult
 
 BASE_CONFIG = """
@@ -205,6 +205,43 @@ def test_bound_value_is_the_papers_bound(tmp_path, learner):
         + 2.0 * d_eff * np.log(2.0 * sigma * L * L * T) / (sigma * floor)
     assert summary.bound_value == pytest.approx(expected, rel=1e-12)
     assert summary.bound_ok == (summary.r_t <= summary.bound_value)
+
+
+def sketched_summary():
+    """A fixed-sigma `skons` run (12 of its 40 coins rejected) summarized
+    against a comparator that predicts 0; the learner, gram and summary."""
+    cfg = parse_config_text(BASE_CONFIG.replace("learner = kons", "learner = skons"))
+    events = cfg.events(0)
+    learner = run_stream(cfg, 0, events)
+    comp = ComparatorResult(coeffs=np.zeros(40), preds=np.zeros(40),
+                            total_loss=float(sum(loss_value(ev, 0.0) for ev in events)),
+                            norm_sq=0.0)
+    K = gram(cfg.kernel, np.vstack([ev.point for ev in events]))
+    return cfg, learner, comp, K, summarize_run(cfg, 0, learner, comp, K)
+
+
+def test_rd_counts_the_coin():
+    # a preconditioner gains eta_t g_t g_t^T only on a round whose column
+    # entered, so R_D weighs eta_t by the coin z_t; at eta_t = sigma every
+    # term is then nonpositive
+    cfg, learner, comp, _, summary = sketched_summary()
+    sigma = curvature_profile("squared", 1.0).sigma
+    assert sum(r.accepted for r in learner.records) == 28
+    hand = float(sum((r.eta * r.accepted - sigma) * r.gdot**2 * (r.yhat - u) ** 2
+                     for r, u in zip(learner.records, comp.preds, strict=True)))
+    assert summary.r_d == hand
+    assert summary.r_d < 0.0
+
+
+def test_sketched_floor_reads_the_learners_gram():
+    # the floor's prefix leverages come from the learner's own rescaled
+    # gram, the one builder of it, not from a second formula over K
+    cfg, learner, comp, K, summary = sketched_summary()
+    tau_min = oracle.prefix_rls(learner.gram(), cfg.alpha).min()
+    floor = max(cfg.gamma, cfg.kors_config(0).beta * tau_min)
+    prof = curvature_profile("squared", 1.0)
+    assert summary.bound_value == oracle.regret_bound(K, comp.norm_sq, cfg.alpha,
+                                                      prof, floor)
 
 
 @pytest.mark.parametrize("text", [

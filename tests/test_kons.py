@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koco import kons
-from koco.kernels import gaussian, gram, linear
+from koco.kernels import cross_vector, gaussian, gram, linear
 from koco.kons import ETA_FIXED_SIGMA, ETA_INVERSE_SQRT, Kons, KonsConfig, eta_at
 from koco.kors import KorsConfig, KorsSampler
 from koco.linalg import REFRESH_EVERY
@@ -271,6 +271,35 @@ def test_eta_schedule_reaches_half_at_round_four():
 # ---------------------------------------------------------------------------
 # leverage accounting
 # ---------------------------------------------------------------------------
+
+def test_demoted_round_reports_the_leverage_it_has():
+    # one replayed point at alpha 1e-13: every append after the first is
+    # singular and demoted; its column did not enter, so the round's
+    # leverage is q itself, which the gradient-term increment reads too
+    spec = SyntheticSpec(generator="sixsix-adversary", input_dim=2, horizon=40,
+                         noise_sd=0.1, clip_c=1.0)
+    learner = Kons(gaussian(1.0), squared_cfg(alpha=1e-13))
+    run(learner, generate_stream(spec, 0, kernel=gaussian(1.0)))
+    demoted = [r for r in learner.records if not r.accepted]
+    assert len(demoted) == learner.rejected_appends == 39
+    for r in demoted:
+        assert r.tau == pytest.approx(r.rg_increment * r.eta, rel=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [gaussian(1.0), linear()])
+def test_gram_rows_are_the_rows_each_round_formed(kernel):
+    # the one builder of the rounds' rescaled gram: below the diagonal,
+    # row t is the row round t formed, (k·d_i)·d_t, bit for bit
+    _, events = unit_feature_stream(3, 60)
+    learner = Kons(kernel, squared_cfg())
+    run(learner, events)
+    G, P, D = learner.gram(), learner.points, learner.d_scale
+    assert np.array_equal(G, G.T)
+    for t in range(learner.t):
+        kc = cross_vector(kernel, P[:t], P[t]) * D[:t] * D[t]
+        assert np.array_equal(G[t, :t], kc)
+        assert G[t, t] == D[t] * D[t]
+
 
 def test_rg_identity_against_oracle():
     _, events = unit_feature_stream(6, 120)

@@ -12,8 +12,7 @@ from .errors import (ConfigError, DimensionMismatch, KocoError, NoConvergence,
 from .kernels import KernelSpec, cross_vector, eval_kernel, gaussian, gram, linear, polynomial
 from .kons import Kons, KonsConfig, StepRecord, eta_at
 from .kors import Dictionary, KorsConfig, KorsSampler, dict_size_bound, required_budget
-from .linalg import (RegularizedFactor, RegularizedInverse, gram_shift_product, psd_solve,
-                     sym_eigvals)
+from .linalg import RegularizedFactor, RegularizedInverse, psd_solve, sym_eigvals
 from .losses import (CurvatureProfile, LossEvent, clip_to_interval, curvature_profile,
                      loss_derivative, loss_value)
 from .oracle import (ComparatorResult, best_comparator, effective_dimension,

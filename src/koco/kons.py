@@ -4,12 +4,12 @@ The learners never materialize feature-space weights. Each round they
 predict from a coefficient vector b over past rounds and a maintained
 regularized inverse of the gradient-rescaled gram matrix, then fold the
 observed derivative into one new coefficient and, when the round's
-column is selected, one appended row/column. `NewtonCore` holds all of
-this, admission included, and by default selects every column: the exact
-learner `Kons`; the sketched learner (`koco.skons`) selects by a sampler
-coin. The exact learner's predictions provably coincide with the
-explicit-feature projected Newton recursion, which the test suite checks
-against the oracle module at every step.
+column is selected and nonzero, one appended row/column. `NewtonCore`
+holds all of this, admission included, and by default selects every
+column: the exact learner `Kons`; the sketched learner (`koco.skons`)
+selects by a sampler coin. The exact learner's predictions provably
+coincide with the explicit-feature projected Newton recursion, which the
+test suite checks against the oracle module at every step.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import SchurNotPositive
 # eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
 # stays because perfbench's tracer hooks its kernels.diag layer on it
 from .kernels import KernelSpec, cross_vector, eval_kernel, rescaled_gram  # noqa: F401
-from .kors import Dictionary
+from .kors import Dictionary, Rounds
 from .linalg import RegularizedInverse, grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
 
@@ -89,21 +89,23 @@ class NewtonCore:
     One instance owns one stream; `step` is the driver path (predict,
     observe, and account in one call). Each round predicts from the dual
     coefficients b and the preconditioner, folds the observed derivative
-    into one new coefficient, and offers the round's rescaled kernel
-    column to `_select`. The hook decides, the core admits: `_select`
-    returns the record's (tau, p_accept, accepted), and the core appends
-    an accepted column to the preconditioner. A singular append demotes
+    into one new coefficient, writes the round, and offers its rescaled
+    kernel column to `_select`. The hook decides, the core admits:
+    `_select` returns the record's (tau, p_accept, accepted), and the
+    core appends an accepted column with a nonzero derivative (a zero one
+    adds nothing; the record keeps its coin). A singular append demotes
     the round to rejected and counts it in `rejected_appends`; a dropped
     column costs regret, never correctness. The default `_select` accepts
     every column and records the round's own leverage, q/(1+q) if its
     column entered, q if it was demoted. The preconditioner is a
     `Dictionary`, `dict`, over a `RegularizedInverse`, since each round
-    multiplies by the inverse; its members are the admitted rounds at
-    probability 1 (so at weight one), and it refreshes its inverse from
-    its members' gram every REFRESH_EVERY columns; `refreshes` counts
-    those rebuilds, the only ones a learner has (the sampler's Cholesky
-    factor is never rebuilt). Kernel rows, b, the cached rescaled-gram @ b
-    and `gram()` cover every round.
+    multiplies by the inverse; its members are admitted rounds at
+    probability 1, whose points and rescale factors it reads from
+    `rounds`, the core's one copy of each round, as an embedded sampler's
+    store does; it refreshes its inverse from their gram every
+    REFRESH_EVERY columns (`refreshes`, the only rebuilds a learner has).
+    Kernel rows, b, the cached rescaled-gram @ b and `gram()` cover every
+    round.
     """
 
     def __init__(self, kernel: KernelSpec, cfg, kons_cfg: KonsConfig):
@@ -112,9 +114,8 @@ class NewtonCore:
         self.t = 0
         self.records: list[StepRecord] = []
         self._kcfg = kons_cfg
-        self.dict = Dictionary(kernel, RegularizedInverse(kons_cfg.alpha))
-        self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first round
-        self._d = np.zeros(16)       # gdot_i * sqrt(eta_i)
+        self.rounds = Rounds()  # points, and d_i = gdot_i * sqrt(eta_i)
+        self.dict = Dictionary(kernel, RegularizedInverse(kons_cfg.alpha), self.rounds)
         self._b = np.zeros(16)       # dual coefficients
         self._kbar_b = np.zeros(16)  # cached rescaled-gram @ b
         self.q_floor_clamps = 0  # nonzero-derivative rounds whose q_t fell below Q_FLOOR
@@ -122,20 +123,13 @@ class NewtonCore:
 
     # -- buffers ---------------------------------------------------------
 
-    def _grow(self, n: int) -> None:
-        t = self.t
-        self._pts = grown(self._pts, n, t)
-        self._d = grown(self._d, n, t)
-        self._b = grown(self._b, n, t)
-        self._kbar_b = grown(self._kbar_b, n, t)
-
     @property
     def points(self) -> np.ndarray:
-        return self._pts[: self.t]
+        return self.rounds.points
 
     @property
     def d_scale(self) -> np.ndarray:
-        return self._d[: self.t]
+        return self.rounds.d_scale
 
     @property
     def b(self) -> np.ndarray:
@@ -179,9 +173,8 @@ class NewtonCore:
         gdot = loss_derivative(ev, yhat)
         d_t = gdot * float(np.sqrt(eta))
 
-        # rescaled kernel row of the new point (zero row when gdot == 0,
-        # which leaves the preconditioner untouched, as it must); every
-        # kernel in koco.kernels has k(x, x) = 1, so the corner is d_t^2
+        # rescaled kernel row of the new point (zero row when gdot == 0);
+        # every kernel in koco.kernels has k(x, x) = 1, so the corner is d_t^2
         kc = kd * d_t
         kdiag = d_t * d_t
         w = kc[self.dict.indices]
@@ -193,23 +186,24 @@ class NewtonCore:
         self.q_floor_clamps += d_t != 0.0 and q_raw < Q_FLOOR
         b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / np.sqrt(eta)
 
-        if self.t == 0:
-            self._pts = np.zeros((16, x.shape[0]))
-        self._grow(t_new)
+        t = self.t
+        self.rounds.append(x, d_t)
+        self._b = grown(self._b, t_new, t)
+        self._kbar_b = grown(self._kbar_b, t_new, t)
+        self._b[t] = b_t
+        self._kbar_b[:t] += kc * b_t
+        self._kbar_b[t] = float(kc @ self._b[:t]) + kdiag * b_t
+        self.t = t_new
+
+        # the round is written, so a refresh's gram holds it; a column with
+        # d_t = 0 adds nothing to the preconditioner and gets no row
         tau, p_accept, accepted = self._select(x, d_t, kc)
-        if accepted:
+        if accepted and d_t != 0.0:
             try:
-                self.dict.admit(x, d_t, self.t, 1.0, w, kdiag, u)
+                self.dict.admit(t, 1.0, w, kdiag, u)
             except SchurNotPositive:
                 self.rejected_appends += 1
                 accepted = 0
-
-        self._pts[self.t] = x
-        self._d[self.t] = d_t
-        self._b[self.t] = b_t
-        self._kbar_b[: self.t] += kc * b_t
-        self._kbar_b[self.t] = float(kc @ self.b) + kdiag * b_t
-        self.t = t_new
 
         # leverage of the round in its own (post-update) preconditioner:
         # q/(1+q) from the bordered corner if its column entered, else q
@@ -253,9 +247,10 @@ class NewtonCore:
 class Kons(NewtonCore):
     """Exact second-order kernel online learner with clipped predictions.
 
-    The core's default policy: every column is selected, so state grows by
-    one rescaled kernel row per round and round t costs O(t^2) time. A
-    singular append is demoted as for any learner.
+    The core's default policy: every column is selected, so the
+    preconditioner gains a row each round with a nonzero derivative, and
+    round t costs O(t + n^2) time after n such rounds. A singular append
+    is demoted as for any learner.
     """
 
     def __init__(self, kernel: KernelSpec, cfg: KonsConfig):

@@ -66,39 +66,32 @@ class KorsStep:
 
 
 class Dictionary:
-    """A selected column set: the members' 0-based stream indices,
-    admission probabilities p, points and rescale factors d in grown
-    arrays, and `solver`, which solves with M + alpha I for their
+    """A selected column set over its owner's rounds: the members' 0-based
+    stream indices, admission probabilities p and selection weights in
+    grown arrays, and `solver`, which solves with M + alpha I for their
     weighted rescaled gram M_ij = k(x_i, x_j)·d_i·d_j·√(1/p_i)·√(1/p_j)
-    (1/p_j·d_j² on the diagonal). The solver is the caller's, empty: a
-    `koco.linalg.RegularizedInverse` where M's inverse multiplies (the
-    Newton-step learners' preconditioner, the same store with p = 1 for
-    every member), a `koco.linalg.RegularizedFactor` where it only scores
-    (the sampler's dictionary, each member at its admission
-    probability). The store rebuilds the solver from `gram()` when the
+    (1/p_j·d_j² on the diagonal). It holds no point or rescale factor: it
+    gathers its members' from `rounds`, which holds every round's
+    `points` and `d_scale` and writes a round before admitting it. The
+    solver is the caller's, empty: a `koco.linalg.RegularizedInverse`
+    where M's inverse multiplies (the Newton-step learners'
+    preconditioner, p = 1 for every member), a
+    `koco.linalg.RegularizedFactor` where it only scores (the sampler's
+    dictionary). The store rebuilds the solver from `gram()` when the
     solver's `append` says a rebuild is due, which only the inverse
     does."""
 
-    def __init__(self, kernel: KernelSpec, solver):
+    def __init__(self, kernel: KernelSpec, solver, rounds):
         self.kernel = kernel
         self.solver = solver
+        self.rounds = rounds
         self._n = 0
-        self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first member
-        self._d = np.zeros(16)
         self._sw = np.zeros(16)
         self._i = np.zeros(16, dtype=np.intp)
         self._p = np.zeros(16)
 
     def __len__(self):
         return self._n
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._pts[: self._n]
-
-    @property
-    def d_scale(self) -> np.ndarray:
-        return self._d[: self._n]
 
     @property
     def sweights(self) -> np.ndarray:
@@ -115,15 +108,15 @@ class Dictionary:
         """Acceptance probability of each member at its admission."""
         return self._p[: self._n]
 
-    def admit(self, x: np.ndarray, d_t: float, index: int, prob: float,
-              cross: np.ndarray, kdiag: float, product: np.ndarray) -> None:
-        """Append the column of x (its rescaled kernel column `cross`
-        against the members, corner `kdiag`, and the solver's `product`
-        for `cross`: inv·cross for an inverse, L⁻¹·cross for a factor)
-        weighted by 1/prob, and record the member. A singular append
-        raises SchurNotPositive and leaves the store as it was. When the
-        append reports a rebuild due, the solver is then rebuilt from
-        `gram()`, which holds the new member.
+    def admit(self, index: int, prob: float, cross: np.ndarray, kdiag: float,
+              product: np.ndarray) -> None:
+        """Append the column of round `index` (its rescaled kernel column
+        `cross` against the members, corner `kdiag`, and the solver's
+        `product` for `cross`: inv·cross for an inverse, L⁻¹·cross for a
+        factor) weighted by 1/prob, and record the member. A singular
+        append raises SchurNotPositive and leaves the store as it was.
+        When the append reports a rebuild due, the solver is then rebuilt
+        from `gram()`, which holds the new member.
 
         The weight w = 1/prob scales the border by √w and the corner by
         w; the product scaled by √w stands for the product of cross·√w,
@@ -133,15 +126,9 @@ class Dictionary:
         sw = np.sqrt(w)
         due = self.solver.append(cross * sw, kdiag * w, product * sw)
         n = self._n
-        if n == 0:
-            self._pts = np.zeros((16, x.shape[0]))
-        self._pts = grown(self._pts, n + 1, n)
-        self._d = grown(self._d, n + 1, n)
         self._sw = grown(self._sw, n + 1, n)
         self._i = grown(self._i, n + 1, n)
         self._p = grown(self._p, n + 1, n)
-        self._pts[n] = x
-        self._d[n] = d_t
         self._sw[n] = sw
         self._i[n] = index
         self._p[n] = prob
@@ -151,8 +138,10 @@ class Dictionary:
 
     def gram(self) -> np.ndarray:
         """The matrix M the solver solves with (less alpha I), rebuilt from
-        the members bit for bit as their columns were appended."""
-        return rescaled_gram(self.kernel, self.points, self.d_scale, self.probs)
+        the members' rounds bit for bit as their columns were appended."""
+        members = self.indices
+        return rescaled_gram(self.kernel, self.rounds.points[members],
+                             self.rounds.d_scale[members], self.probs)
 
     def selection_sq_weights(self, horizon: int) -> np.ndarray:
         """Squared selection weights 1/p over stream indices 0..horizon-1
@@ -163,6 +152,36 @@ class Dictionary:
         return w
 
 
+class Rounds:
+    """The points and rescale factors d of a stream's rounds so far, in
+    grown arrays, for a `Dictionary` to gather its members' from: a
+    Newton-step learner's, which its store and its embedded sampler's
+    read, or a standalone sampler's own."""
+
+    def __init__(self):
+        self._n = 0
+        self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first round
+        self._d = np.zeros(16)
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._pts[: self._n]
+
+    @property
+    def d_scale(self) -> np.ndarray:
+        return self._d[: self._n]
+
+    def append(self, x: np.ndarray, d_t: float) -> None:
+        n = self._n
+        if n == 0:
+            self._pts = np.zeros((16, x.shape[0]))
+        self._pts = grown(self._pts, n + 1, n)
+        self._d = grown(self._d, n + 1, n)
+        self._pts[n] = x
+        self._d[n] = d_t
+        self._n = n + 1
+
+
 class KorsSampler:
     """Online row sampler over a (possibly gradient-rescaled) kernel stream.
 
@@ -170,12 +189,19 @@ class KorsSampler:
     plain kernel stream); kernel evaluations only ever touch dictionary
     members, none when the caller passes its kernel row, so a step costs
     O(size^2).
+
+    `rounds`, the `Rounds` of the points scored that the dictionary
+    gathers its members' from, is an embedding learner's, which writes
+    each round before the sampler scores it and passes the round's kernel
+    `row` to `step`. By default the sampler keeps its own, of every point
+    it scores.
     """
 
-    def __init__(self, kernel: KernelSpec, cfg: KorsConfig):
+    def __init__(self, kernel: KernelSpec, cfg: KorsConfig, rounds=None):
         self.kernel = kernel
         self.cfg = cfg
-        self.dict = Dictionary(kernel, RegularizedFactor(cfg.alpha))
+        self.dict = Dictionary(kernel, RegularizedFactor(cfg.alpha),
+                               Rounds() if rounds is None else rounds)
         self._rng = named_rng(cfg.rng_seed, "kors-coins")
         self._rounds = 0  # points scored so far
 
@@ -200,18 +226,21 @@ class KorsSampler:
         packed triangular solve, and an admission reuses that solve as
         the new row of L: O(size²) to score, O(size) more to admit.
 
-        `row`, when given, is the rescaled kernel row of an already checked
-        x over every point scored before it; the members' weighted column
-        is gathered from it, and x is neither checked nor evaluated.
+        `row`, given by an owner of the rounds, is the rescaled kernel row
+        of an already checked x over every point scored before it; the
+        members' weighted column is gathered from it, and x is neither
+        checked, evaluated nor kept.
         """
         if row is None:
             x = np.asarray(x, dtype=np.float64).reshape(-1)
             if not np.isfinite(x).all():
                 raise ValueError(f"round {self._rounds + 1}: point contains NaN/Inf")
             # empty before the first admission; cross_vector checks x
-            # either way, so a bad point fails now, not as a member
-            ks = cross_vector(self.kernel, self.dict.points, x)
-            cross = ks * self.dict.d_scale * d_t * self.dict.sweights
+            # either way, so a bad point fails now, and is not kept
+            members, scored = self.dict.indices, self.dict.rounds
+            ks = cross_vector(self.kernel, scored.points[members], x)
+            cross = ks * scored.d_scale[members] * d_t * self.dict.sweights
+            scored.append(x, d_t)
         else:
             cross = row[self.dict.indices] * self.dict.sweights
         index = self._rounds
@@ -224,5 +253,5 @@ class KorsSampler:
         p = min(self.cfg.beta * tau, 1.0)
         z = bernoulli(self._rng, p)  # drawn at p = 0 too: one draw per point
         if z:
-            self.dict.admit(x, d_t, index, p, cross, kdiag, lc)
+            self.dict.admit(index, p, cross, kdiag, lc)
         return KorsStep(tau_tilde=tau, p_tilde=p, accepted=z, size=self.size)

@@ -53,18 +53,8 @@ ROW_STRIDE_STEP = 128
 
 
 # ---------------------------------------------------------------------------
-# validation and buffer helpers
+# buffer helpers
 # ---------------------------------------------------------------------------
-
-def as_vec(entries) -> np.ndarray:
-    """1-D float64 vector with finite entries."""
-    v = np.asarray(entries, dtype=np.float64)
-    if v.ndim != 1:
-        v = v.reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains NaN/Inf")
-    return v
-
 
 def grown(buf: np.ndarray, n: int, used: int) -> np.ndarray:
     """`buf` when it has at least n rows, else a copy of its first `used`
@@ -113,34 +103,6 @@ def sym_eigvals(M: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def gram_shift_product(X: np.ndarray, alpha: float, v: np.ndarray) -> np.ndarray:
-    """Apply (X Xᵀ + alpha I)^{-1} to v through the dual m×m system.
-
-    X is n×m with m feature columns; the product is computed as
-    (1/alpha)(v − X (XᵀX + alpha I)^{-1} Xᵀ v), which costs O(m³)
-    instead of O(n³) when m « n.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    X = np.asarray(X, dtype=np.float64)
-    v = as_vec(v)
-    if X.size == 0:
-        return v / alpha
-    if X.shape[0] != v.shape[0]:
-        raise ValueError(f"shape mismatch: X has {X.shape[0]} rows, v has {v.shape[0]}")
-    inner = psd_solve(X.T @ X, alpha, X.T @ v)
-    return (v - X @ inner) / alpha
-
-
-def gram_shift_product_direct(X: np.ndarray, alpha: float, v: np.ndarray) -> np.ndarray:
-    """Same product through the primal n×n system (identity-check reference)."""
-    X = np.asarray(X, dtype=np.float64)
-    v = as_vec(v)
-    if X.size == 0:
-        return v / alpha
-    return psd_solve(X @ X.T, alpha, v)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class SketchedKons(NewtonCore):
 
     def __init__(self, kernel: KernelSpec, cfg: SkonsConfig):
         super().__init__(kernel, cfg, cfg.kons)
-        self.kors = KorsSampler(kernel, cfg.kors)
+        self.kors = KorsSampler(kernel, cfg.kors, self.rounds)
         self._coin_rng = named_rng(cfg.kors.rng_seed, "sketch-coins")
 
     def _select(self, x, d_t, kc):

@@ -268,8 +268,9 @@ def criterion_8_matrix_identities():
         lhs = X @ X.T @ psd_solve(X @ X.T, alpha, np.eye(n))
         rhs = X @ psd_solve(X.T @ X, alpha, X.T)
         worst_identity = max(worst_identity, float(np.max(np.abs(lhs - rhs))))
-        via_dual = linalg.gram_shift_product(X, alpha, v)
-        direct = linalg.gram_shift_product_direct(X, alpha, v)
+        # (X Xᵀ + alpha I)⁻¹v through the dual m×m system and the primal n×n
+        via_dual = (v - X @ psd_solve(X.T @ X, alpha, X.T @ v)) / alpha
+        direct = psd_solve(X @ X.T, alpha, v)
         worst_identity = max(worst_identity, float(np.max(np.abs(via_dual - direct))))
 
     worst_compose = worst_factor = 0.0

@@ -162,6 +162,30 @@ def test_q_floor_clamps_count_nonzero_derivative_rounds(monkeypatch):
     assert learner.q_floor_clamps == nonzero
 
 
+def squared_hinge_stream(seed, T):
+    """The README's rkhs-target stream under the squared hinge at C = 1:
+    a round whose clipped prediction meets its label's margin has
+    derivative 0, and most rounds do once the learner has fit."""
+    spec = SyntheticSpec(generator=RKHS_TARGET, input_dim=3, horizon=T, noise_sd=0.1)
+    return generate_stream(spec, seed, kernel=gaussian(1.0), family="squared-hinge")
+
+
+def test_zero_derivative_rounds_get_no_row():
+    # a round with d_t = 0 adds nothing to the preconditioner, so only the
+    # rounds that moved the learner are its members, and the store still
+    # solves with their gram
+    events = squared_hinge_stream(0, 300)
+    learner = Kons(gaussian(1.0), squared_cfg())
+    run(learner, events)
+    moved = [j for j, r in enumerate(learner.records) if r.gdot != 0.0]
+    assert 0 < len(moved) < len(events) // 2
+    assert list(learner.dict.indices) == moved
+    assert len(learner.dict) == learner.records[-1].dict_size == len(moved)
+    assert all(r.accepted for r in learner.records)
+    assert learner.dict.solver.audit(learner.dict.gram()) <= 1e-8
+    assert learner.audit_cache() <= 1e-8
+
+
 def test_predictions_always_clipped():
     _, events = unit_feature_stream(4, 150, C=0.4)
     learner = Kons(gaussian(0.8), squared_cfg(C=0.4))

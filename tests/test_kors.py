@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -160,13 +162,13 @@ def test_singular_admit_leaves_the_store_unchanged():
     # at alpha 1e-13 a second copy of the member is spanned by it: its
     # Schur complement is below SCHUR_RTOL, and the store keeps its member
     # and its solver at that member's order, whichever solver it holds
+    rounds = SimpleNamespace(points=np.ones((2, 2)), d_scale=np.ones(2))
     for solver in (RegularizedInverse, RegularizedFactor):
-        store = Dictionary(gaussian(1.0), solver(1e-13))
-        x = np.ones(2)
-        store.admit(x, 1.0, 0, 1.0, np.zeros(0), 1.0, np.zeros(0))
+        store = Dictionary(gaussian(1.0), solver(1e-13), rounds)
+        store.admit(0, 1.0, np.zeros(0), 1.0, np.zeros(0))
         cross = np.ones(1)
         with pytest.raises(SchurNotPositive):
-            store.admit(x, 1.0, 1, 0.5, cross, 1.0,
+            store.admit(1, 0.5, cross, 1.0,
                         store.solver.schur_complement(cross, 1.0)[1])
         assert len(store) == store.solver.order == 1
         assert list(store.indices) == [0] and list(store.probs) == [1.0]

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from koco.kernels import cross_vector, gaussian, linear, polynomial
 from koco.kons import Kons, KonsConfig
 from koco.kors import Dictionary, KorsConfig, KorsSampler
 from koco.linalg import (APPEND_BLOCK_BYTES, REFRESH_EVERY, RegularizedFactor,
-                         RegularizedInverse, gram_shift_product,
-                         gram_shift_product_direct, psd_solve, sym_eigvals)
+                         RegularizedInverse, psd_solve, sym_eigvals)
 from koco.losses import LossEvent, curvature_profile
 from koco.skons import SketchedKons, SkonsConfig
 
@@ -226,20 +227,19 @@ def test_factor_scores_match_the_inverse(monkeypatch):
     monkeypatch.setattr(linalg, "REFRESH_EVERY", 128)
     rng = np.random.default_rng(13)
     kernel = gaussian(1.0)
-    stores = [Dictionary(kernel, RegularizedInverse(1.0)),
-              Dictionary(kernel, RegularizedFactor(1.0))]
     points = rng.normal(size=(300, 3))
     d = rng.uniform(0.2, 2.0, size=300)
     probs = rng.uniform(0.05, 1.0, size=300)
+    rounds = SimpleNamespace(points=points, d_scale=d)
+    stores = [Dictionary(kernel, RegularizedInverse(1.0), rounds),
+              Dictionary(kernel, RegularizedFactor(1.0), rounds)]
     for j, (x, d_t, prob) in enumerate(zip(points, d, probs)):
-        members = stores[0]
-        cross = (cross_vector(kernel, members.points, x) * members.d_scale * d_t
-                 * members.sweights)
+        cross = cross_vector(kernel, points[:j], x) * d[:j] * d_t * stores[0].sweights
         scores = [store.solver.schur_complement(cross, d_t * d_t) for store in stores]
         (s_inv, _), (s_fac, _) = scores
         assert abs(s_fac - s_inv) <= 1e-12 * abs(s_inv), f"order {j}"
         for store, (_, product) in zip(stores, scores):
-            store.admit(x, d_t, j, prob, cross, d_t * d_t, product)
+            store.admit(j, prob, cross, d_t * d_t, product)
     inverse, factor = (store.solver for store in stores)
     assert inverse.refreshes == 2 and not hasattr(factor, "refresh")
     for store in stores:
@@ -312,9 +312,18 @@ def assembled(borders) -> np.ndarray:
                          ids=["gaussian", "linear", "polynomial"])
 def test_rebuilt_gram_equals_the_appended_borders(monkeypatch, kernel):
     # every store's rebuilt M is the matrix its appends grew, bit for bit
-    # (the sign of a zero too), so a refresh inverts exactly that matrix
+    # (the sign of a zero too), so a refresh inverts exactly that matrix.
+    # Zero-derivative rounds get no column, so the -0.0 entries come from
+    # rounds 7-9: far-apart points, between which the gaussian underflows,
+    # (32, 0, 0) ⟂ (0, 32, 0) for the linear kernel, and an inner product
+    # of -0.5 = -offset for the polynomial; each 0.0 entry times rescale
+    # factors of opposite sign (targets +0.9 and -0.9 against a 0
+    # prediction) is -0.0 in admitted columns
     borders = capture_borders(monkeypatch)
     events = squared_stream(11, 300, zero_rounds=6)
+    far = [((32.0, 0.0, 0.0), 0.9), ((0.0, 32.0, 0.0), -0.9), ((-1 / 64, 0.0, 32.0), -0.9)]
+    for j, (x, y) in enumerate(far):
+        events[6 + j] = LossEvent(np.array(x), "squared", y)
     learners = [Kons(kernel, squared_cfg())] + [
         SketchedKons(kernel, SkonsConfig(
             kons=squared_cfg(),
@@ -346,27 +355,17 @@ def test_rebuilt_gram_equals_the_appended_borders(monkeypatch, kernel):
 
 
 # ---------------------------------------------------------------------------
-# gram_shift_product
+# the shift-inverse identity of criterion 8
 # ---------------------------------------------------------------------------
 
-def test_gram_shift_empty_matrix():
-    v = np.array([1.0, -2.0, 3.0])
-    out = gram_shift_product(np.zeros((3, 0)), 2.0, v)
-    assert np.allclose(out, v / 2.0)
-
-
-def test_gram_shift_unit_column():
-    phi = np.array([1.0, 0.0])
-    out = gram_shift_product(phi.reshape(2, 1), 1.0, phi)
-    assert np.allclose(out, phi / 2.0)
-
-
 def test_gram_shift_matches_direct():
+    # (X Xᵀ + alpha I)⁻¹v through the dual 3×3 system, as criterion 8
+    # forms it, against the primal 5×5 one and a plain solve
     rng = np.random.default_rng(1)
     X = rng.normal(size=(5, 3))
     v = rng.normal(size=5)
-    a = gram_shift_product(X, 0.7, v)
-    b = gram_shift_product_direct(X, 0.7, v)
+    a = (v - X @ psd_solve(X.T @ X, 0.7, X.T @ v)) / 0.7
+    b = psd_solve(X @ X.T, 0.7, v)
     c = np.linalg.solve(X @ X.T + 0.7 * np.eye(5), v)
     assert np.max(np.abs(a - b)) < 1e-10
     assert np.max(np.abs(a - c)) < 1e-10

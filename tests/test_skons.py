@@ -24,10 +24,10 @@ def sketch_cfg(gamma, seed=0, beta=30.0, epsilon=0.5, C=1.0, alpha=1.0):
                        gamma=gamma)
 
 
-def stream(seed, T, generator="rkhs-target", **kw):
+def stream(seed, T, generator="rkhs-target", family="squared", **kw):
     spec = SyntheticSpec(generator=generator, input_dim=kw.pop("dim", 3),
                          horizon=T, clip_c=kw.pop("clip_c", 1.0), **kw)
-    return generate_stream(spec, seed, kernel=gaussian(1.0))
+    return generate_stream(spec, seed, kernel=gaussian(1.0), family=family)
 
 
 def run(learner, events):
@@ -54,7 +54,10 @@ def test_gamma_one_equals_exact_learner():
              # one replayed point at alpha 1e-13: every append after the
              # first is singular, and both learners demote the round
              (stream(0, 40, generator="sixsix-adversary", dim=2, noise_sd=0.1),
-              1e-13, 1e-3, 39)]
+              1e-13, 1e-3, 39),
+             # 120 of 200 rounds meet the squared hinge's margin: their
+             # derivative is 0, and neither learner gives them a row
+             (stream(0, 200, noise_sd=0.1, family="squared-hinge"), 1.0, 30.0, 0)]
     for events, alpha, beta, rejected in cases:
         exact = Kons(gaussian(1.0), squared_cfg(alpha=alpha))
         sketch = SketchedKons(gaussian(1.0), sketch_cfg(1.0, alpha=alpha, beta=beta))
@@ -68,6 +71,29 @@ def test_gamma_one_equals_exact_learner():
             assert [getattr(re_, f) for f in fields] == [getattr(rs, f) for f in fields]
         assert exact.rejected_appends == sketch.rejected_appends == rejected
         assert sum(r.accepted for r in sketch.records) == len(events) - rejected
+
+
+def test_stores_gather_the_rounds_gram():
+    # each store keeps indices, not points: its gram, gathered from the
+    # learner's rounds, is the learner's gram at its members bit for bit,
+    # each entry below the diagonal times sw_i, then sw_j, and the
+    # diagonal d²/p
+    events = stream(0, 200, noise_sd=0.1, family="squared-hinge")
+    exact = Kons(gaussian(1.0), squared_cfg())
+    sketch = SketchedKons(gaussian(1.0), sketch_cfg(0.2, seed=3))
+    run(exact, events)
+    run(sketch, events)
+    for learner, store in ((exact, exact.dict), (sketch, sketch.dict),
+                           (sketch, sketch.kors.dict)):
+        idx = store.indices
+        assert 0 < len(idx) < learner.t
+        sw = store.sweights
+        M = store.gram()
+        below = np.tril(learner.gram()[np.ix_(idx, idx)] * sw * sw[:, None], -1)
+        assert np.array_equal(np.tril(M, -1).view(np.int64), below.view(np.int64))
+        assert np.array_equal(M.view(np.int64), M.T.view(np.int64))
+        D = learner.d_scale[idx]
+        assert np.array_equal(np.diag(M), D * D * (1.0 / store.probs))
 
 
 def test_forced_acceptance_equals_exact_learner():

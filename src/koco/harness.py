@@ -21,8 +21,7 @@ from . import kernels, losses, oracle, streams
 from .errors import ConfigError, KocoError, StreamParseError
 from .kernels import KernelSpec, cross_vector
 from .kons import Kons, KonsConfig, StepRecord
-from .kors import KorsConfig, required_budget
-from .linalg import grown
+from .kors import KorsConfig, Rounds, required_budget
 from .losses import LossEvent, clip_to_interval, curvature_profile, loss_derivative, loss_value
 from .skons import SketchedKons, SkonsConfig
 from .streams import SyntheticSpec
@@ -202,20 +201,20 @@ def parse_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 class GdBaseline:
-    """First-order kernel learner: one coefficient -eta_t*gdot per round."""
+    """First-order kernel learner: one coefficient -eta_t*gdot per round,
+    kept with the round's point in `rounds` as its `d_scale`."""
 
     def __init__(self, kernel: KernelSpec, clip_c: float, lipschitz: float):
         self.kernel = kernel
         self.clip_c = clip_c
         self.lipschitz = lipschitz
         self.t = 0
-        self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first round
-        self._coef = np.zeros(16)
+        self.rounds = Rounds()
         self.records: list[StepRecord] = []
 
     def predict(self, x) -> tuple[float, float]:
-        k = cross_vector(self.kernel, self._pts[: self.t], x)
-        ybar = float(k @ self._coef[: self.t])
+        k = cross_vector(self.kernel, self.rounds.points, x)
+        ybar = float(k @ self.rounds.d_scale)
         return ybar, clip_to_interval(ybar, self.clip_c)
 
     def step(self, x, ev: LossEvent) -> StepRecord:
@@ -227,12 +226,7 @@ class GdBaseline:
         ybar, yhat = self.predict(x)
         eta = 1.0 / (self.lipschitz * self.clip_c * np.sqrt(t_new))
         gdot = loss_derivative(ev, yhat)
-        if self.t == 0:
-            self._pts = np.zeros((16, x.shape[0]))
-        self._pts = grown(self._pts, t_new, self.t)
-        self._coef = grown(self._coef, t_new, self.t)
-        self._pts[self.t] = x
-        self._coef[self.t] = -eta * gdot
+        self.rounds.append(x, -eta * gdot)
         self.t = t_new
         rec = StepRecord(t=t_new, ybar=ybar, yhat=yhat,
                          loss=loss_value(ev, yhat), gdot=gdot, eta=eta,

@@ -44,16 +44,18 @@ class KonsConfig:
     lipschitz: float = 1.0
 
     def __post_init__(self):
-        if self.clip_c <= 0:
-            raise ValueError("clip_c must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.clip_c < np.inf:
+            raise ValueError("clip_c must be positive and finite")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.eta_mode not in (ETA_FIXED_SIGMA, ETA_INVERSE_SQRT):
             raise ValueError(f"unknown eta mode {self.eta_mode!r}")
-        if self.eta_mode == ETA_FIXED_SIGMA and self.sigma <= 0:
+        if self.eta_mode == ETA_FIXED_SIGMA and not self.sigma > 0:
             raise ValueError("fixed-sigma stepsizes require sigma > 0")
-        if self.lipschitz <= 0:
-            raise ValueError("lipschitz must be positive")
+        if not np.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
+        if not 0 < self.lipschitz < np.inf:
+            raise ValueError("lipschitz must be positive and finite")
 
 
 def eta_at(cfg: KonsConfig, t: int) -> float:
@@ -124,14 +126,6 @@ class NewtonCore:
     # -- buffers ---------------------------------------------------------
 
     @property
-    def points(self) -> np.ndarray:
-        return self.rounds.points
-
-    @property
-    def d_scale(self) -> np.ndarray:
-        return self.rounds.d_scale
-
-    @property
     def b(self) -> np.ndarray:
         return self._b[: self.t]
 
@@ -148,7 +142,8 @@ class NewtonCore:
 
     def predict(self, x) -> tuple[float, float]:
         """(unclipped, clipped) prediction for input x; state untouched."""
-        return self._predict(cross_vector(self.kernel, self.points, x) * self.d_scale)
+        kd = cross_vector(self.kernel, self.rounds.points, x) * self.rounds.d_scale
+        return self._predict(kd)
 
     def _predict(self, kd: np.ndarray) -> tuple[float, float]:
         members = self.dict.indices
@@ -165,7 +160,7 @@ class NewtonCore:
         t_new = self.t + 1
         if not np.isfinite(x).all():
             raise ValueError(f"round {t_new}: point contains NaN/Inf")
-        kd = cross_vector(self.kernel, self.points, x) * self.d_scale
+        kd = cross_vector(self.kernel, self.rounds.points, x) * self.rounds.d_scale
         ybar, yhat = self._predict(kd)
 
         cfg = self._kcfg
@@ -234,7 +229,8 @@ class NewtonCore:
         far, rebuilt from the points: below the diagonal, row t holds bit
         for bit the rescaled row `kc` that round t formed, and the matrix
         is its mirror."""
-        return rescaled_gram(self.kernel, self.points, self.d_scale, np.ones(self.t))
+        return rescaled_gram(self.kernel, self.rounds.points, self.rounds.d_scale,
+                             np.ones(self.t))
 
     def audit_cache(self) -> float:
         """Max-abs deviation of the cached gram@b vector from the gram of

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, cross_vector, rescaled_gram
-from .linalg import SCHUR_RTOL, RegularizedFactor, grown
+from .linalg import RegularizedFactor, grown, schur_ok
 from .rng import bernoulli, named_rng
 
 
@@ -28,12 +28,12 @@ class KorsConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -153,10 +153,12 @@ class Dictionary:
 
 
 class Rounds:
-    """The points and rescale factors d of a stream's rounds so far, in
-    grown arrays, for a `Dictionary` to gather its members' from: a
-    Newton-step learner's, which its store and its embedded sampler's
-    read, or a standalone sampler's own."""
+    """The points of a stream's rounds so far and one scalar per round,
+    `d_scale`, in grown arrays. For a `Dictionary` to gather its members'
+    from, the scalar is the round's rescale factor d: a Newton-step
+    learner's rounds, which its store and its embedded sampler's read,
+    or a standalone sampler's own. The first-order baseline
+    (`koco.harness.GdBaseline`) keeps its coefficients there."""
 
     def __init__(self):
         self._n = 0
@@ -215,8 +217,9 @@ class KorsSampler:
         The score (1+eps)(1 - alpha/s) over-estimates the leverage of x
         against dictionary-plus-self; s is the Schur complement of the
         self column appended at weight one, so the bordered block is
-        never materialized. A singular s (at or below SCHUR_RTOL·(k(x,x)
-        + alpha): x is already spanned by the weighted members) scores 0.
+        never materialized. An s that fails `koco.linalg.schur_ok`, the
+        rule every append follows (x is already spanned by the weighted
+        members), scores 0.
         The coin has probability p = min(beta * score, 1), and an
         admitted point enters the dictionary with weight 1/p at its
         0-based stream index (the count of points scored before it).
@@ -248,7 +251,7 @@ class KorsSampler:
         kdiag = d_t * d_t  # k(x, x) = 1 for every kernel in koco.kernels
         s, lc = self.dict.solver.schur_complement(cross, kdiag)
         tau = 0.0
-        if s > SCHUR_RTOL * (kdiag + self.cfg.alpha):
+        if schur_ok(s, kdiag, self.cfg.alpha):
             tau = float(max((1.0 + self.cfg.epsilon) * (1.0 - self.cfg.alpha / s), 0.0))
         p = min(self.cfg.beta * tau, 1.0)
         z = bernoulli(self._rng, p)  # drawn at p = 0 too: one draw per point

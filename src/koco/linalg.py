@@ -4,16 +4,16 @@ Two solvers of M + alpha I are grown one row/column at a time by Schur
 bordering from the matrix M that their owner, a `koco.kors.Dictionary`,
 grows and rebuilds from its members; neither keeps a copy of M.
 `RegularizedInverse` keeps the inverse itself, which the Newton-step
-learners multiply by every round: an append of order n costs one n×n
-mat-vec, or none when the caller passes the product
-(M + alpha I)^{-1}·cross it already has, plus an in-place rank-1
-update. Its rows sit in one flat buffer at a padded row stride, so the
-update runs over whole contiguous row blocks and needs no n×n
-temporary. `RegularizedFactor` keeps the lower Cholesky factor L, which
-the leverage-score sampler only solves with: a score is one packed
-triangular solve L⁻¹·cross, and an append writes one new row of L.
-Everything is dense float64: at desk scale (a few thousand points)
-sparse or low-rank storage buys nothing.
+learners multiply by every round; `RegularizedFactor` keeps the lower
+Cholesky factor L, which the leverage-score sampler only solves with.
+Both grow one way: `schur_complement(cross, diag)` scores a column and
+returns its product, inv·cross or L⁻¹·cross, which `append(cross,
+diag, product)` takes, and both refuse a column by the one rule
+`schur_ok`. An inverse append is an in-place rank-1 update over whole
+contiguous row blocks of one flat buffer at a padded row stride, with
+no n×n temporary; a factor append writes one new row of L. Everything
+is dense float64: at desk scale (a few thousand points) sparse or
+low-rank storage buys nothing.
 
 Only the inverse is rebuilt. Its rank-1 updates carry each one's
 rounding into every later entry, so it is refactored from M once every
@@ -109,6 +109,13 @@ def sym_eigvals(M: np.ndarray) -> np.ndarray:
 # incrementally grown regularized inverse
 # ---------------------------------------------------------------------------
 
+def schur_ok(s: float, diag: float, alpha: float) -> bool:
+    """Whether a column with corner `diag` and Schur complement `s` may be
+    appended to a solver of M + alpha I: s > SCHUR_RTOL·(diag + alpha).
+    A NaN s fails, so a border with a NaN/Inf entry is refused."""
+    return s > SCHUR_RTOL * (diag + alpha)
+
+
 def _border(cross, order: int) -> np.ndarray:
     """`cross` as a float64 vector of length `order` (the length only is
     checked: the callers build it from points already checked)."""
@@ -137,15 +144,14 @@ class RegularizedInverse:
     which grows M from its members, rebuilds M and passes it to `refresh`
     when `append` reports that a rebuild is due (once every REFRESH_EVERY
     appends, which bounds drift over long runs) and to `audit`. Appends
-    whose Schur complement falls below SCHUR_RTOL·(diag + alpha) are
-    rejected: a near-singular bordering would silently corrupt every
-    later product.
+    that fail `schur_ok` are rejected: a near-singular bordering would
+    silently corrupt every later product.
 
     The inverse's rows lie in one flat buffer at row stride
     w = _row_stride(order); `inv` is its [:n, :n] view, and the padding
     columns hold zeros that are never read. An append at order n costs
-    O(n²): the product u = inv·cross (skipped when the caller supplies
-    it) and the update inv += u uᵀ/s, added in place over contiguous
+    O(n²): the update inv += u uᵀ/s, for u = inv·cross the caller's
+    product from `schur_complement`, added in place over contiguous
     blocks of whole rows (n·w entries, against u zero-padded to w). When
     the order passes w, the rows move to the wider stride in place (once
     per stride step); the buffers are reallocated, at double the
@@ -153,8 +159,8 @@ class RegularizedInverse:
     """
 
     def __init__(self, alpha: float):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         self.alpha = float(alpha)
         self.order = 0
         self.refreshes = 0  # rebuilds from a supplied matrix so far
@@ -202,34 +208,31 @@ class RegularizedInverse:
     def schur_complement(self, cross: np.ndarray, diag: float) -> tuple[float, np.ndarray]:
         """Schur complement of the would-be appended row/column, and the
         product inv·cross it is formed with (what `append` takes as
-        `inv_cross`). `cross` must be finite and is not checked: a NaN or
+        `product`). `cross` must be finite and is not checked: a NaN or
         infinite entry gives a NaN or -inf complement."""
         cross = _border(cross, self.order)
         u = self.inv @ cross
         return float(diag) + self.alpha - float(cross @ u), u
 
-    def append(self, cross: np.ndarray, diag: float,
-               inv_cross: np.ndarray | None = None) -> bool:
+    def append(self, cross: np.ndarray, diag: float, product: np.ndarray) -> bool:
         """Grow M by one row/column (border `cross`, corner `diag`) in place,
         and return whether a `refresh` is due: True when the new order is
         a multiple of REFRESH_EVERY.
 
-        `inv_cross`, when given, stands for `apply(cross)`, and the append
-        skips that product; given exactly that product, the result is the
-        same bit for bit. A NaN/Inf in `cross` (not checked) fails the
-        Schur test, without `inv_cross`, and leaves the inverse as it was.
+        `product` stands for inv·cross, as `schur_complement` returns it;
+        the append forms no product of its own. A Schur complement that
+        fails `schur_ok` (a NaN/Inf in `cross` or `product`, not checked,
+        fails it too) raises SchurNotPositive and leaves the inverse as it
+        was.
         """
         cross = _border(cross, self.order)
         n = self.order
-        if inv_cross is None:
-            u = self.inv @ cross
-        else:
-            u = np.asarray(inv_cross, dtype=np.float64)
-            if u.shape != (n,):
-                raise ValueError(f"inv_cross has shape {u.shape}, expected ({n},)")
+        u = np.asarray(product, dtype=np.float64)
+        if u.shape != (n,):
+            raise ValueError(f"product has shape {u.shape}, expected ({n},)")
         diag = float(diag)
         s = diag + self.alpha - float(cross @ u)
-        if not s > SCHUR_RTOL * (diag + self.alpha):  # a NaN s fails too
+        if not schur_ok(s, diag, self.alpha):
             raise SchurNotPositive(
                 f"schur complement {s:.3e} below tolerance at order {n}")
         self._ensure_capacity(n + 1)
@@ -324,46 +327,37 @@ class RegularizedFactor:
     """
 
     def __init__(self, alpha: float):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         self.alpha = float(alpha)
         self.order = 0
         self._ap = np.zeros(16 * 17 // 2)  # L's packed rows (room for 16), then spare
-
-    def _solve(self, cross: np.ndarray) -> np.ndarray:
-        """L⁻¹·cross, in a new vector."""
-        n = self.order
-        if n == 0:
-            return np.zeros(0)
-        return dtpsv(n, self._ap[: n * (n + 1) // 2], cross, lower=0, trans=1)
 
     def schur_complement(self, cross: np.ndarray, diag: float) -> tuple[float, np.ndarray]:
         """Schur complement diag + alpha - |L⁻¹cross|² of the would-be
         appended row/column, and the solve L⁻¹·cross (what `append` takes
         as `product`). `cross` is not checked for NaN/Inf: such an entry
         gives a NaN complement."""
-        lc = self._solve(_border(cross, self.order))
+        n = self.order
+        cross = _border(cross, n)
+        lc = (dtpsv(n, self._ap[: n * (n + 1) // 2], cross, lower=0, trans=1)
+              if n else np.zeros(0))
         return float(diag) + self.alpha - float(lc @ lc), lc
 
-    def append(self, cross: np.ndarray, diag: float,
-               product: np.ndarray | None = None) -> None:
+    def append(self, cross: np.ndarray, diag: float, product: np.ndarray) -> None:
         """Grow M by one row/column (border `cross`, corner `diag`): L
-        gains the row [l, √s], with l = L⁻¹cross (`product`, when given,
-        stands for it) and s = diag + alpha - |l|². The Schur test of
-        `RegularizedInverse.append` applies: a NaN border or an s at or
-        below SCHUR_RTOL·(diag + alpha) raises SchurNotPositive and leaves
-        the factor as it was."""
-        cross = _border(cross, self.order)
+        gains the row [l, √s], with l = L⁻¹cross, which `product` stands
+        for, as `schur_complement` returns it, and s = diag + alpha - |l|².
+        An s that fails `schur_ok` (as a NaN/Inf border's product does)
+        raises SchurNotPositive and leaves the factor as it was."""
+        _border(cross, self.order)
         n = self.order
-        if product is None:
-            lc = self._solve(cross)
-        else:
-            lc = np.asarray(product, dtype=np.float64)
-            if lc.shape != (n,):
-                raise ValueError(f"product has shape {lc.shape}, expected ({n},)")
+        lc = np.asarray(product, dtype=np.float64)
+        if lc.shape != (n,):
+            raise ValueError(f"product has shape {lc.shape}, expected ({n},)")
         diag = float(diag)
         s = diag + self.alpha - float(lc @ lc)
-        if not s > SCHUR_RTOL * (diag + self.alpha):  # a NaN s fails too
+        if not schur_ok(s, diag, self.alpha):
             raise SchurNotPositive(
                 f"schur complement {s:.3e} below tolerance at order {n}")
         start = n * (n + 1) // 2

@@ -34,7 +34,8 @@ class LossEvent:
     """One adversary round: an input point plus a convex scalar loss.
 
     `target` is the regression target for the squared family and the
-    ±1 label for logistic / squared-hinge.
+    ±1 label for logistic / squared-hinge; a NaN or infinite one is
+    rejected.
     """
 
     point: np.ndarray
@@ -44,6 +45,8 @@ class LossEvent:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown loss family {self.family!r}")
+        if not np.isfinite(self.target):
+            raise ValueError("target contains NaN/Inf")
         if self.family in (LOGISTIC, SQUARED_HINGE) and self.target not in (-1.0, 1.0, -1, 1):
             raise ValueError("labels must be ±1")
 
@@ -138,8 +141,8 @@ def _largest_grid_sigma(family: str, C: float) -> float:
 @lru_cache(maxsize=None)
 def curvature_profile(family: str, C: float) -> CurvatureProfile:
     """Curvature and Lipschitz constants of the family on [-C, C]."""
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < np.inf:
+        raise ValueError("clip_c must be positive and finite")
     if family == SQUARED:
         # |target| <= C is enforced at ingestion, so |loss'| <= 2*2C
         return CurvatureProfile(sigma=1.0 / (8.0 * C * C), lipschitz=4.0 * C, clip_c=C)

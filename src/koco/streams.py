@@ -37,6 +37,10 @@ class SyntheticSpec:
             raise ValueError("horizon must be at least 1")
         if self.input_dim < 1:
             raise ValueError("input_dim must be at least 1")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValueError("noise_sd must be finite and nonnegative")
+        if not np.isfinite(self.spread):
+            raise ValueError("spread must be finite")
 
 
 def generate_stream(spec: SyntheticSpec, seed: int,

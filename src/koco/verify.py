@@ -256,7 +256,8 @@ def criterion_8_matrix_identities():
     at 1e-8 over 100 random instances each, one of them of order 600:
     the grown inverse, rebuilt from its matrix whenever its append says
     so, against a direct solve, and the Cholesky factor grown on the same
-    borders, never rebuilt, by its audit against M."""
+    borders, never rebuilt, by its audit against M. Each solver scores a
+    column and appends it with the score's product, as a store admits."""
     rng = named_rng(8, "criterion-8")
     worst_identity = 0.0
     for _ in range(100):
@@ -281,9 +282,10 @@ def criterion_8_matrix_identities():
         rows = rng.normal(size=(t, 6))
         M = rows @ rows.T / 6.0
         for j in range(t):
-            if ri.append(M[:j, j], M[j, j]):
+            cross, diag = M[:j, j], M[j, j]
+            if ri.append(cross, diag, ri.schur_complement(cross, diag)[1]):
                 ri.refresh(M[: j + 1, : j + 1].copy())
-            rf.append(M[:j, j], M[j, j])
+            rf.append(cross, diag, rf.schur_complement(cross, diag)[1])
         direct = psd_solve(M, alpha, np.eye(t))
         worst_compose = max(worst_compose, float(np.max(np.abs(ri.inv - direct))))
         worst_factor = max(worst_factor, rf.audit(M))

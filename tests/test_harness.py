@@ -72,6 +72,17 @@ def test_bad_values_rejected():
             parse_config_text(skons + setting + "\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("setting", ["clip_c", "alpha", "sigma", "beta", "noise_sd", "spread"])
+def test_non_finite_setting_is_a_config_error(setting, value):
+    # on a skons config, which builds every setting's owner: KonsConfig,
+    # KorsConfig and SyntheticSpec
+    lines = BASE_CONFIG.replace("learner = kons", "learner = skons").splitlines()
+    kept = [line for line in lines if not line.startswith(f"{setting} =")]
+    with pytest.raises(ConfigError, match=setting):
+        parse_config_text("\n".join(kept + [f"{setting} = {value}"]))
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         parse_config_text(BASE_CONFIG + "alpha = 2.0\n")
@@ -198,7 +209,7 @@ def test_bound_value_is_the_papers_bound(tmp_path, learner):
     d_eff = oracle.effective_dimension(K, alpha / (sigma * L * L))
     floor = 1.0
     if learner == "skons":
-        D = run_stream(cfg, 0, events).d_scale
+        D = run_stream(cfg, 0, events).rounds.d_scale
         tau_min = oracle.prefix_rls(K * np.outer(D, D), alpha).min()
         floor = max(cfg.gamma, cfg.kors_config(0).beta * tau_min)
     expected = alpha * comparator.norm_sq \
@@ -391,7 +402,7 @@ def test_gd_baseline_steps():
     rec = gd.step(x, LossEvent(x, "squared", 0.5))
     assert rec.yhat == 0.0
     # one-step update: coefficient is -eta_1 * gdot = -(1/(4*1*1)) * (-1)
-    assert gd._coef[0] == pytest.approx(0.25)
+    assert gd.rounds.d_scale[0] == pytest.approx(0.25)
     ybar, yhat = gd.predict(x)
     assert ybar == pytest.approx(0.25)
 

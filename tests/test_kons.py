@@ -59,6 +59,16 @@ def test_config_validation():
         KonsConfig(clip_c=-1.0, alpha=1.0, sigma=0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("setting", ["clip_c", "alpha", "sigma", "lipschitz"])
+def test_config_rejects_non_finite_settings(setting, bad):
+    # inverse-sqrt stepsizes do not read sigma, and still refuse a bad one
+    for mode in (ETA_FIXED_SIGMA, ETA_INVERSE_SQRT):
+        args = dict(clip_c=1.0, alpha=1.0, eta_mode=mode, sigma=0.1, lipschitz=1.0)
+        with pytest.raises(ValueError, match=setting):
+            KonsConfig(**{**args, setting: bad})
+
+
 # ---------------------------------------------------------------------------
 # predictions
 # ---------------------------------------------------------------------------
@@ -130,7 +140,7 @@ def test_zero_derivative_round_matches_primal():
     learner = Kons(linear(), cfg)
     mine = run(learner, events)
     assert learner.records[k].gdot == 0.0
-    assert learner.d_scale[k] == 0.0
+    assert learner.rounds.d_scale[k] == 0.0
     assert learner.records[k].rg_increment == 0.0
     ref = primal_ons(X, events, cfg)
     assert np.max(np.abs(mine - ref)) < 1e-6
@@ -198,8 +208,8 @@ def test_state_sizes_agree():
     learner = Kons(gaussian(1.0), squared_cfg())
     run(learner, events)
     assert learner.t == 40
-    assert learner.points.shape == (40, 5)
-    assert learner.d_scale.shape == (40,)
+    assert learner.rounds.points.shape == (40, 5)
+    assert learner.rounds.d_scale.shape == (40,)
     assert learner.b.shape == (40,)
     assert learner.dict.solver.order == len(learner.dict) == 40
     assert learner.audit_cache() < 1e-8
@@ -317,7 +327,7 @@ def test_gram_rows_are_the_rows_each_round_formed(kernel):
     _, events = unit_feature_stream(3, 60)
     learner = Kons(kernel, squared_cfg())
     run(learner, events)
-    G, P, D = learner.gram(), learner.points, learner.d_scale
+    G, P, D = learner.gram(), learner.rounds.points, learner.rounds.d_scale
     assert np.array_equal(G, G.T)
     for t in range(learner.t):
         kc = cross_vector(kernel, P[:t], P[t]) * D[:t] * D[t]
@@ -330,8 +340,8 @@ def test_rg_identity_against_oracle():
     cfg = squared_cfg()
     learner = Kons(gaussian(1.0), cfg)
     run(learner, events)
-    D = learner.d_scale
-    Kbar = gram(gaussian(1.0), learner.points) * np.outer(D, D)
+    D = learner.rounds.d_scale
+    Kbar = gram(gaussian(1.0), learner.rounds.points) * np.outer(D, D)
     taus = prefix_rls(Kbar, cfg.alpha)
     etas = np.array([r.eta for r in learner.records])
     r_g = sum(r.rg_increment for r in learner.records)

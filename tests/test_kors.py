@@ -25,6 +25,11 @@ def test_config_validation():
         make_cfg(epsilon=1.5)
     with pytest.raises(ValueError):
         make_cfg(beta=-1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            make_cfg(beta=bad)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            make_cfg(alpha=bad)
     assert make_cfg(epsilon=0.5).rho == pytest.approx(3.0)
 
 

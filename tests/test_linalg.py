@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from koco import linalg
+from koco import kors, linalg
 from koco.errors import NoConvergence, NotPositiveDefinite, SchurNotPositive
 from koco.kernels import cross_vector, gaussian, linear, polynomial
 from koco.kons import Kons, KonsConfig
@@ -29,6 +29,11 @@ def random_psd(rng, n, rank=None):
 SOLVERS = (RegularizedInverse, RegularizedFactor)
 
 
+def grow(solver, cross, diag):
+    """Append a column with the product its score forms, as a store does."""
+    return solver.append(cross, diag, solver.schur_complement(cross, diag)[1])
+
+
 def stored(solver) -> np.ndarray:
     """A copy of what the solver stores at its order: the inverse's rows,
     or the factor's packed rows."""
@@ -42,7 +47,7 @@ def test_append_scalar_case():
     # 1/(1+alpha), or the factor √(1+alpha)
     for solver, one in zip(SOLVERS, (0.5, np.sqrt(2.0))):
         ri = solver(alpha=1.0)
-        ri.append(np.zeros(0), 1.0)
+        grow(ri, np.zeros(0), 1.0)
         assert ri.order == 1
         assert stored(ri).ravel() == pytest.approx([one])
 
@@ -52,16 +57,16 @@ def test_append_matches_direct_inverse():
     M = random_psd(rng, 4)
     ri = RegularizedInverse(alpha=0.7)
     for j in range(3):
-        ri.append(M[:j, j], M[j, j])
-    ri.append(M[:3, 3], M[3, 3])
+        grow(ri, M[:j, j], M[j, j])
+    grow(ri, M[:3, 3], M[3, 3])
     direct = np.linalg.inv(M + 0.7 * np.eye(4))
     assert np.max(np.abs(ri.inv - direct)) < 1e-10
 
 
 def test_append_zero_column_decouples():
     ri = RegularizedInverse(alpha=1.0)
-    ri.append(np.zeros(0), 2.0)
-    ri.append(np.zeros(1), 0.0)
+    grow(ri, np.zeros(0), 2.0)
+    grow(ri, np.zeros(1), 0.0)
     assert ri.inv[1, 1] == pytest.approx(1.0)
     assert ri.inv[0, 1] == 0.0
 
@@ -69,11 +74,11 @@ def test_append_zero_column_decouples():
 def test_append_rejects_singular_update():
     for solver in SOLVERS:
         ri = solver(alpha=1e-13)
-        ri.append(np.zeros(0), 1.0)
+        grow(ri, np.zeros(0), 1.0)
         before = stored(ri)
         # duplicate unit direction: schur complement collapses to ~alpha
         with pytest.raises(SchurNotPositive):
-            ri.append(np.array([1.0]), 1.0 - 1e-15)
+            grow(ri, np.array([1.0]), 1.0 - 1e-15)
         assert ri.order == 1
         assert np.array_equal(stored(ri), before)
 
@@ -85,7 +90,7 @@ def test_append_composition_long_run():
     M = rows @ rows.T / 8.0
     ri = RegularizedInverse(alpha=1.0)
     for j in range(t):
-        ri.append(M[:j, j], M[j, j])
+        grow(ri, M[:j, j], M[j, j])
     direct = psd_solve(M, 1.0, np.eye(t))
     assert np.max(np.abs(ri.inv - direct)) < 1e-8
 
@@ -103,8 +108,8 @@ def bordered_reference(inv, cross, diag, alpha):
     return out
 
 
-@pytest.mark.parametrize("supplied", [False, True], ids=["computed", "supplied"])
-def test_append_is_bit_identical_to_unblocked_formula(supplied):
+@pytest.mark.parametrize("product", [RegularizedInverse.apply], ids=["supplied"])
+def test_append_is_bit_identical_to_unblocked_formula(product):
     # past the first refresh, at orders whose update takes several row blocks
     rng = np.random.default_rng(8)
     n = REFRESH_EVERY + 100
@@ -115,7 +120,7 @@ def test_append_is_bit_identical_to_unblocked_formula(supplied):
     for j in range(n):
         cross, diag = M[:j, j], M[j, j]
         expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
-        due = ri.append(cross, diag, inv_cross=ri.apply(cross) if supplied else None)
+        due = ri.append(cross, diag, product(ri, cross))
         assert np.array_equal(ri.inv, expected), f"order {j + 1}"
         assert due == ((j + 1) % REFRESH_EVERY == 0), f"order {j + 1}"
         if due:
@@ -139,7 +144,7 @@ def test_padded_layout_reads_the_unblocked_values(n):
     for j in range(n):
         cross, diag = M[:j, j], M[j, j]
         expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
-        due = ri.append(cross, diag)
+        due = grow(ri, cross, diag)
         assert np.array_equal(ri.inv, expected), f"order {j + 1}"
         if due:
             ri.refresh(M[: j + 1, : j + 1].copy())
@@ -173,31 +178,72 @@ def test_sampler_product_append_matches_the_computed_one():
         cross, diag = M[:j, j] * sw[:j], M[j, j]
         s, u = supplied.schur_complement(cross, diag)
         assert s == diag + 1.0 - float(cross @ supplied.apply(cross))
-        supplied.append(cross * sw[j], diag * weights[j], inv_cross=u * sw[j])
-        computed.append(cross * sw[j], diag * weights[j])
+        supplied.append(cross * sw[j], diag * weights[j], u * sw[j])
+        grow(computed, cross * sw[j], diag * weights[j])
         assert np.max(np.abs(supplied.inv - computed.inv)) <= 1e-12, f"order {j + 1}"
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+def test_solvers_reject_a_bad_alpha(alpha):
+    for solver in SOLVERS:
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            solver(alpha)
+
+
+def test_schur_rule_at_its_boundary_and_its_callers(monkeypatch):
+    diag, alpha = 1.0, 0.5
+    at = linalg.SCHUR_RTOL * (diag + alpha)
+    assert not linalg.schur_ok(np.nan, diag, alpha)
+    assert not linalg.schur_ok(at, diag, alpha)
+    assert linalg.schur_ok(np.nextafter(at, np.inf), diag, alpha)
+
+    # both appends and the sampler's score ask the rule, with their own
+    # complement, corner and alpha, and refuse the column when it says no
+    asked = []
+
+    def refuse(s, diag, alpha):
+        asked.append((s, diag, alpha))
+        return False
+
+    cross, diag = np.array([0.5]), 0.75
+    for solver in SOLVERS:
+        ri = solver(alpha)
+        grow(ri, np.zeros(0), 1.0)
+        monkeypatch.setattr(linalg, "schur_ok", refuse)
+        s, product = ri.schur_complement(cross, diag)
+        with pytest.raises(SchurNotPositive):
+            ri.append(cross, diag, product)
+        assert asked.pop() == (s, diag, alpha) and ri.order == 1
+        monkeypatch.undo()
+    monkeypatch.setattr(kors, "schur_ok", refuse)
+    sampler = KorsSampler(gaussian(1.0), KorsConfig(alpha=alpha, epsilon=0.5, beta=1e9,
+                                                    delta=0.1))
+    res = sampler.step(np.ones(2), d_t=2.0)
+    assert asked.pop() == (4.0 + alpha, 4.0, alpha)  # s = k·d² + alpha, no member yet
+    assert res.tau_tilde == 0.0 and res.accepted == 0 and sampler.size == 0
+
+
 def test_append_rejects_product_of_wrong_length():
-    for solver, name in zip(SOLVERS, ("inv_cross", "product")):
+    for solver in SOLVERS:
         ri = solver(alpha=1.0)
-        ri.append(np.zeros(0), 1.0)
-        ri.append(np.array([0.5]), 1.0)
+        grow(ri, np.zeros(0), 1.0)
+        grow(ri, np.array([0.5]), 1.0)
         for bad in (np.zeros(1), np.zeros(3), np.zeros((2, 1))):
-            with pytest.raises(ValueError, match=f"{name} has shape"):
+            with pytest.raises(ValueError, match="product has shape"):
                 ri.append(np.array([0.1, 0.2]), 1.0, bad)
         assert ri.order == 2
 
 
-@pytest.mark.parametrize("grow", ["schur_complement", "append"])
-def test_cross_of_wrong_length_is_rejected(grow):
+@pytest.mark.parametrize("method", ["schur_complement", "append"])
+def test_cross_of_wrong_length_is_rejected(method):
     for solver in SOLVERS:
         ri = solver(alpha=1.0)
-        ri.append(np.zeros(0), 1.0)
+        grow(ri, np.zeros(0), 1.0)
         before = stored(ri)
+        product = (np.zeros(1),) if method == "append" else ()
         for bad in (np.zeros(0), np.array([0.1, 0.2])):
             with pytest.raises(ValueError, match="cross has length"):
-                getattr(ri, grow)(bad, 1.0)
+                getattr(ri, method)(bad, 1.0, *product)
             assert ri.order == 1
             assert np.array_equal(stored(ri), before)
 
@@ -206,15 +252,15 @@ def test_cross_of_wrong_length_is_rejected(grow):
 def test_non_finite_cross_fails_the_schur_test(bad):
     for solver in SOLVERS:
         ri = solver(alpha=1.0)
-        ri.append(np.zeros(0), 1.0)
-        ri.append(np.array([0.5]), 1.0)
+        grow(ri, np.zeros(0), 1.0)
+        grow(ri, np.array([0.5]), 1.0)
         before = stored(ri)
         cross = np.array([0.2, bad])
         with np.errstate(invalid="ignore"):
             s, _ = ri.schur_complement(cross, 1.0)
             assert not s > 0.0, solver.__name__
             with pytest.raises(SchurNotPositive):
-                ri.append(cross, 1.0)
+                grow(ri, cross, 1.0)
         assert ri.order == 2
         assert np.array_equal(stored(ri), before)
 
@@ -288,7 +334,7 @@ def capture_borders(monkeypatch) -> dict:
     every append that succeeds."""
     borders = {}
     for cls in SOLVERS:
-        def recording(self, cross, diag, product=None, append=cls.append):
+        def recording(self, cross, diag, product, append=cls.append):
             due = append(self, cross, diag, product)
             borders.setdefault(self, []).append((np.array(cross, dtype=np.float64),
                                                  float(diag)))

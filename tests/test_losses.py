@@ -40,6 +40,13 @@ def test_rejects_bad_labels_and_family():
         LossEvent(PT, "absolute", 1.0)
 
 
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_non_finite_target_is_rejected(family, target):
+    with pytest.raises(ValueError, match="target contains NaN/Inf"):
+        LossEvent(PT, family, target)
+
+
 # ---------------------------------------------------------------------------
 # clipping
 # ---------------------------------------------------------------------------

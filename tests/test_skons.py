@@ -92,7 +92,7 @@ def test_stores_gather_the_rounds_gram():
         below = np.tril(learner.gram()[np.ix_(idx, idx)] * sw * sw[:, None], -1)
         assert np.array_equal(np.tril(M, -1).view(np.int64), below.view(np.int64))
         assert np.array_equal(M.view(np.int64), M.T.view(np.int64))
-        D = learner.d_scale[idx]
+        D = learner.rounds.d_scale[idx]
         assert np.array_equal(np.diag(M), D * D * (1.0 / store.probs))
 
 
@@ -154,8 +154,8 @@ def test_no_acceptances_gives_alpha_identity_sketch():
     run(sketch, events)
     assert len(sketch.dict) == 0
     lo, hi = sandwich_audit(sketch)
-    D = sketch.d_scale
-    Kbar = gram(gaussian(1.0), sketch.points) * np.outer(D, D)
+    D = sketch.rounds.d_scale
+    Kbar = gram(gaussian(1.0), sketch.rounds.points) * np.outer(D, D)
     lam_max = sym_eigvals(Kbar)[-1]
     assert lo == pytest.approx(1.0 / (lam_max + 1.0), rel=1e-9)  # alpha = 1
     assert hi <= 1.0 + 1e-10
@@ -233,8 +233,8 @@ def test_embedded_sampler_matches_a_standalone_one(kernel):
         learner = SketchedKons(kernel, cfg)
         run(learner, events)
         alone = KorsSampler(kernel, cfg.kors)
-        for x, d_t, rec in zip(learner.points, learner.d_scale, learner.records,
-                               strict=True):
+        rounds = learner.rounds
+        for x, d_t, rec in zip(rounds.points, rounds.d_scale, learner.records, strict=True):
             assert alone.step(x, d_t).tau_tilde == rec.tau
         assert list(alone.dict.indices) == list(learner.kors.dict.indices)
         assert list(alone.dict.probs) == list(learner.kors.dict.probs)

@@ -3,9 +3,9 @@ summary emission.
 
 Configs are flat key=value text files whose keys are ExperimentConfig's
 fields (with KernelSpec's for the kernel), parsed by each field's type,
-with unknown keys rejected; the config validates every setting of its
-learner when it is built, so an experiment is fully described by one
-diffable file plus one master seed.
+with unknown keys rejected; the config validates every setting when it
+is built, also one its learner does not read, so an experiment is fully
+described by one diffable file plus one master seed.
 """
 
 from __future__ import annotations
@@ -76,9 +76,13 @@ class ExperimentConfig:
             raise ValueError(f"stream must be synthetic or csv, got {self.stream!r}")
         if self.stream == "csv" and self.csv_path is None:
             raise ValueError("stream=csv requires csv_path")
+        # every setting is checked, read or not; fixed-sigma is skons's own rule
         self.kons_config()     # clip_c, alpha, eta_mode, sigma
         self.synthetic_spec()  # generator, horizon >= 1, input_dim
-        if self.learner == "skons":  # gamma, epsilon, beta, delta, stepsizes
+        self.kors_config(self.seeds[0])  # epsilon, beta, delta
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
+        if self.learner == "skons":  # stepsizes
             self.skons_config(self.seeds[0])
 
     def kons_config(self) -> KonsConfig:

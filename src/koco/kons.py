@@ -52,8 +52,8 @@ class KonsConfig:
             raise ValueError(f"unknown eta mode {self.eta_mode!r}")
         if self.eta_mode == ETA_FIXED_SIGMA and not self.sigma > 0:
             raise ValueError("fixed-sigma stepsizes require sigma > 0")
-        if not np.isfinite(self.sigma):
-            raise ValueError("sigma must be finite")
+        if not 0 <= self.sigma < np.inf:  # also under inverse-sqrt, which does not read it
+            raise ValueError("sigma must be nonnegative and finite")
         if not 0 < self.lipschitz < np.inf:
             raise ValueError("lipschitz must be positive and finite")
 

@@ -231,13 +231,16 @@ class KorsSampler:
 
         `row`, given by an owner of the rounds, is the rescaled kernel row
         of an already checked x over every point scored before it; the
-        members' weighted column is gathered from it, and x is neither
-        checked, evaluated nor kept.
+        members' weighted column is gathered from it, x is neither
+        checked, evaluated nor kept, and d_t is not checked. Without
+        `row`, a non-finite x or d_t raises ValueError naming the round.
         """
         if row is None:
             x = np.asarray(x, dtype=np.float64).reshape(-1)
             if not np.isfinite(x).all():
                 raise ValueError(f"round {self._rounds + 1}: point contains NaN/Inf")
+            if not np.isfinite(d_t):
+                raise ValueError(f"round {self._rounds + 1}: d_t is NaN/Inf")
             # empty before the first admission; cross_vector checks x
             # either way, so a bad point fails now, and is not kept
             members, scored = self.dict.indices, self.dict.rounds

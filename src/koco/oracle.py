@@ -162,10 +162,17 @@ def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
     rescaling the coefficients whenever predictions overflow the
     interval (the feasible set is convex and contains the origin, so
     radial rescaling is a valid projection surrogate). All restarts run
-    as columns of one coefficient matrix; the best feasible iterate
-    seen anywhere is returned. Any feasible output only loosens
-    measured regret, never invalidates a bound check. Every event must
-    carry the same loss family.
+    as rows of one coefficient matrix A; the best feasible iterate seen
+    anywhere is returned. Any feasible output only loosens measured
+    regret, never invalidates a bound check. Every event must carry the
+    same loss family.
+
+    A step moves A by a multiple of D K (D the loss derivatives), so A
+    stays c⊙A0 + B K: A0 the starts, c each restart's product of rescale
+    factors, B its summed scaled steps. An iteration updates B and the
+    predictions P = A K by one product D (K K), with K K held as one
+    more T×T buffer; coefficients are formed only for the returned
+    iterate.
     """
     K = np.asarray(K, dtype=np.float64)
     T = K.shape[0]
@@ -176,72 +183,60 @@ def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
         raise ValueError(f"stream mixes loss families {families}")
     family = families[0] if families else losses.SQUARED
     targ = np.array([ev.target for ev in events])
-    tcol = targ[:, None]
-
-    def objective(P):
-        return np.sum(losses.value(family, tcol, P), axis=0)
-
-    def derivatives(P):
-        return losses.derivative(family, tcol, P)
-
     rng = named_rng(seed, "comparator-restarts")
-    A = np.zeros((T, restarts))
+    A0 = np.zeros((restarts, T))
     # two restarts warm-start at feasibility-rescaled ridge fits of the
     # targets (labels for classification), the rest perturb the origin
     for j, ridge in enumerate((1e-3, 1.0)):
         if j + 1 < restarts:
-            A[:, j + 1] = psd_solve(K, ridge, targ)
+            A0[j + 1] = psd_solve(K, ridge, targ)
     if restarts > 3:
-        A[:, 3:] = rng.normal(scale=0.1 / max(T, 1), size=(T, restarts - 3))
+        A0[3:] = rng.normal(scale=0.1 / max(T, 1), size=(T, restarts - 3)).T
+    K2 = K @ K
+    P0 = A0 @ K
+    c = np.ones(restarts)
+    B = np.zeros((restarts, T))
 
-    def rescale(A, P):
-        # radial feasibility restore; exact on P since P is linear in A
-        over = np.max(np.abs(P), axis=0)
-        scale = np.where(over > C, C / np.maximum(over, 1e-300), 1.0)
-        A *= scale
-        P *= scale
+    def rescale(P):
+        # radial feasibility restore; exact on P since P is linear in A.
+        # A factor of 1.0 changes no bits, so a pass with no overflow skips it
+        mag = np.abs(P)
+        if mag.max() > C:
+            over = mag.max(axis=1)
+            scale = np.where(over > C, C / np.maximum(over, 1e-300), 1.0)
+            c[:] *= scale
+            B[:] *= scale[:, None]
+            P *= scale[:, None]
 
-    P = K @ A
-    rescale(A, P)
-    obj = objective(P)
-    best_obj = np.inf
-    best_a = np.zeros(T)
-    best_p = np.zeros(T)
+    P = P0.copy()
+    rescale(P)
 
     # size steps by their prediction-space response so ill-conditioned
     # grams neither stall nor blow past the feasible slab
-    g0 = K @ derivatives(P)
-    resp = np.max(np.abs(K @ g0), axis=0)
+    resp = np.abs(losses.derivative(family, targ, P) @ K2).max(axis=1)
     step0 = 0.5 * C / np.maximum(resp, 1e-12)
+    steps = step0 / np.sqrt(np.arange(1, iters + 1))[:, None]
 
-    for k in range(1, iters + 1):
-        i = int(np.argmin(obj))
+    best_obj, best = np.inf, None
+    for k in range(iters + 1):
+        if k:
+            SD = steps[k - 1][:, None] * losses.derivative(family, targ, P)
+            B -= SD
+            # predictions follow linearly; resync from c and B now and then
+            # to stop the incremental update from drifting
+            P -= SD @ K2
+            if k % 500 == 0 or k == iters:
+                P = c[:, None] * P0 + B @ K2
+            rescale(P)
+        obj = losses.value(family, targ, P).sum(axis=1)
+        i = int(obj.argmin())
         if obj[i] < best_obj:
-            best_obj = float(obj[i])
-            best_a = A[:, i].copy()
-            best_p = P[:, i].copy()
-        G = K @ derivatives(P)
-        step = step0 / np.sqrt(k)
-        A -= step * G
-        # predictions follow linearly; resync from A now and then to stop
-        # the incremental update from drifting
-        P -= step * (K @ G)
-        if k % 500 == 0:
-            P = K @ A
-        rescale(A, P)
-        obj = objective(P)
-
-    P = K @ A
-    obj = objective(P)
-    i = int(np.argmin(obj))
-    if obj[i] < best_obj:
-        best_obj = float(obj[i])
-        best_a = A[:, i].copy()
-        best_p = P[:, i].copy()
+            best_obj, best = float(obj[i]), (i, c[i], B[i].copy(), P[i].copy())
     if not np.isfinite(best_obj):
         raise NoProgress("comparator objective is not finite on this stream")
-    return ComparatorResult(coeffs=best_a, preds=best_p,
-                            total_loss=best_obj,
+    i, ci, bi, best_p = best
+    best_a = ci * A0[i] + K @ bi
+    return ComparatorResult(coeffs=best_a, preds=best_p, total_loss=best_obj,
                             norm_sq=float(best_a @ (K @ best_a)))
 
 

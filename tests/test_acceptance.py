@@ -13,6 +13,7 @@ from koco import verify
 RUNTIME_CAPS = {
     "acceptance/1-primal-equivalence": 10.0,
     "acceptance/3-sampler-guarantees": 300.0,
+    "acceptance/5-curved-regret-bound": 60.0,
 }
 
 # the criteria that take most of the suite's time; `-m "not slow"` skips them

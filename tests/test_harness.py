@@ -110,6 +110,26 @@ def test_experiment_config_validates_itself(changes, message):
         ExperimentConfig(**{**fields, **changes})
 
 
+@pytest.mark.parametrize("learner", ["kons", "gd-baseline"])
+@pytest.mark.parametrize("changes, message", [
+    (dict(gamma=-3.0), r"gamma must lie in \[0, 1\]"),
+    (dict(gamma=np.nan), r"gamma must lie in \[0, 1\]"),
+    (dict(epsilon=5.0), r"epsilon must lie in \(0, 1\]"),
+    (dict(delta=7.0), r"delta in \(0, 1\)"),
+    (dict(beta=np.nan), "beta must be positive"),
+    (dict(eta_mode="inverse-sqrt", sigma=-1.0), "sigma must be nonnegative"),
+], ids=["gamma-negative", "gamma-nan", "epsilon-5", "delta-7", "beta-nan",
+        "inverse-sqrt-negative-sigma"])
+def test_settings_the_learner_does_not_read_are_checked(learner, changes, message):
+    # the sketched learner's fixed-sigma rule is its own: inverse-sqrt
+    # stepsizes still build every other learner
+    fields = dict(learner=learner, kernel=gaussian(1.0), loss_family="squared",
+                  clip_c=1.0, alpha=1.0, horizon=40)
+    ExperimentConfig(**{**fields, "eta_mode": "inverse-sqrt"})
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{**fields, **changes})
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 # ---------------------------------------------------------------------------

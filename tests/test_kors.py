@@ -103,6 +103,19 @@ def test_non_finite_point_names_its_round():
     assert s._rng.random() == fresh._rng.random()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rescale_names_its_round(bad):
+    s = KorsSampler(gaussian(1.0), make_cfg())
+    s.step(np.ones(2))
+    with pytest.raises(ValueError, match="round 2: d_t"):
+        s.step(np.zeros(2), bad)
+    # the rejected round is not kept: the next one is still round 2
+    fresh = KorsSampler(gaussian(1.0), make_cfg())
+    fresh.step(np.ones(2))
+    assert s.step(np.zeros(2), 0.5) == fresh.step(np.zeros(2), 0.5)
+    assert len(s.dict.rounds.d_scale) == 2
+
+
 def test_zero_first_point_is_rejected_in_its_round():
     # with no member to evaluate it against, a zero point under a
     # cosine-normalized kernel is checked on its own

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from koco import losses
 from koco.errors import NoProgress
 from koco.kernels import gaussian, gram
 from koco.kons import KonsConfig
@@ -9,6 +10,7 @@ from koco.losses import LossEvent, curvature_profile
 from koco.oracle import (best_comparator, dual_preconditioner, effective_dimension,
                          exact_rls, logdet_chain, online_effective_dimension,
                          prefix_rls, primal_ons, psd_sqrt, spectral_audit)
+from koco.rng import named_rng
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +182,90 @@ def test_comparator_rejects_mixed_families():
               LossEvent(np.ones(1), "logistic", 1.0)]
     with pytest.raises(ValueError, match="logistic.*squared"):
         best_comparator(K, events, 1.0, restarts=2, iters=10)
+
+
+def two_product_comparator(K, events, C, restarts=10, iters=5000, seed=0):
+    """Reference for `best_comparator`: the same iterates with restarts as
+    columns and the coefficients held explicitly, at two kernel products
+    an iteration. Returns (preds, total_loss, norm_sq)."""
+    T = K.shape[0]
+    family = events[0].family
+    targ = np.array([ev.target for ev in events])
+    tcol = targ[:, None]
+
+    def objective(P):
+        return np.sum(losses.value(family, tcol, P), axis=0)
+
+    def derivatives(P):
+        return losses.derivative(family, tcol, P)
+
+    rng = named_rng(seed, "comparator-restarts")
+    A = np.zeros((T, restarts))
+    for j, ridge in enumerate((1e-3, 1.0)):
+        if j + 1 < restarts:
+            A[:, j + 1] = psd_solve(K, ridge, targ)
+    if restarts > 3:
+        A[:, 3:] = rng.normal(scale=0.1 / max(T, 1), size=(T, restarts - 3))
+
+    def rescale(A, P):
+        over = np.max(np.abs(P), axis=0)
+        scale = np.where(over > C, C / np.maximum(over, 1e-300), 1.0)
+        A *= scale
+        P *= scale
+
+    P = K @ A
+    rescale(A, P)
+    obj = objective(P)
+    best_obj, best_a, best_p = np.inf, np.zeros(T), np.zeros(T)
+    g0 = K @ derivatives(P)
+    step0 = 0.5 * C / np.maximum(np.max(np.abs(K @ g0), axis=0), 1e-12)
+    for k in range(1, iters + 1):
+        i = int(np.argmin(obj))
+        if obj[i] < best_obj:
+            best_obj, best_a, best_p = float(obj[i]), A[:, i].copy(), P[:, i].copy()
+        G = K @ derivatives(P)
+        step = step0 / np.sqrt(k)
+        A -= step * G
+        P -= step * (K @ G)
+        if k % 500 == 0:
+            P = K @ A
+        rescale(A, P)
+        obj = objective(P)
+    P = K @ A
+    obj = objective(P)
+    i = int(np.argmin(obj))
+    if obj[i] < best_obj:
+        best_obj, best_a, best_p = float(obj[i]), A[:, i].copy(), P[:, i].copy()
+    return best_p, best_obj, float(best_a @ (K @ best_a))
+
+
+def random_target_stream(family, T, seed=2):
+    # uniform points under a wide gaussian kernel, uniform regression
+    # targets or random labels: a stream where the loop improves on the
+    # rescaled ridge warm starts
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, size=(T, 2))
+    if family == "squared":
+        targets = rng.uniform(-1, 1, T)
+    else:
+        targets = rng.choice([-1.0, 1.0], T)
+    return gram(gaussian(3.0), pts), [LossEvent(p, family, float(y))
+                                      for p, y in zip(pts, targets)]
+
+
+@pytest.mark.parametrize("family,T,C", [("squared", 100, 0.1), ("logistic", 120, 0.3),
+                                        ("squared-hinge", 120, 0.3)])
+def test_implicit_coefficients_match_two_product_loop(family, T, C):
+    K, events = random_target_stream(family, T)
+    comp = best_comparator(K, events, C)
+    # the returned iterate comes from the loop, not the warm start
+    assert comp.total_loss < best_comparator(K, events, C, iters=0).total_loss - 1e-3
+    assert np.max(np.abs(comp.preds - K @ comp.coeffs)) < 1e-9
+    assert comp.norm_sq == pytest.approx(float(comp.coeffs @ K @ comp.coeffs), rel=1e-9)
+    preds, total_loss, norm_sq = two_product_comparator(K, events, C)
+    assert np.max(np.abs(comp.preds - preds)) < 1e-9
+    assert comp.total_loss == pytest.approx(total_loss, rel=1e-9)
+    assert comp.norm_sq == pytest.approx(norm_sq, rel=1e-9)
 
 
 def test_no_progress_error_exists():

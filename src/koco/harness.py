@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -331,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int,
     comparator = K = None
     if cfg.comparator:
         K = kernels.gram(cfg.kernel, np.vstack([ev.point for ev in events]))
-        comparator = oracle.best_comparator(K, events, cfg.clip_c, seed=seed)
+        comparator = oracle.best_comparator(K, events, cfg.clip_c)
 
     summary = summarize_run(cfg, seed, learner, comparator, K)
     trace_path = out / f"trace_{cfg.learner}_{seed}.csv"
@@ -353,7 +353,9 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
     loss family's curvature constant on [-C, C], and z_t the coin: a
     preconditioner gains eta_t g_t g_t^T only on a round whose column
     entered. The regret bound covers fixed-sigma `kons` (floor 1) and
-    `skons` (floor max(gamma, beta * min prefix leverage)), nothing else."""
+    `skons` (floor max(gamma, beta * min prefix leverage)), nothing else,
+    and is taken at the run's own sigma; above the family's constant
+    R_D <= 0 fails, and no bound applies."""
     records = learner.records
     prof = curvature_profile(cfg.loss_family, cfg.clip_c)
     cumulative = float(sum(r.loss for r in records))
@@ -369,15 +371,17 @@ def summarize_run(cfg: ExperimentConfig, seed: int, learner, comparator,
         r_d = float(sum((r.eta * r.accepted - prof.sigma) * r.gdot**2
                         * (r.yhat - comparator.preds[i]) ** 2
                         for i, r in enumerate(records)))
+        sigma = cfg.kons_config().sigma
         floor = 0.0  # no bound applies
-        if cfg.eta_mode == "fixed-sigma" and cfg.learner == "kons":
-            floor = 1.0
-        elif cfg.eta_mode == "fixed-sigma" and cfg.learner == "skons":
-            tau_min = float(oracle.prefix_rls(learner.gram(), cfg.alpha).min())
-            floor = max(cfg.gamma, cfg.kors_config(seed).beta * tau_min)
+        if cfg.eta_mode == "fixed-sigma" and sigma <= prof.sigma:
+            if cfg.learner == "kons":
+                floor = 1.0
+            elif cfg.learner == "skons":
+                tau_min = float(oracle.prefix_rls(learner.gram(), cfg.alpha).min())
+                floor = max(cfg.gamma, cfg.kors_config(seed).beta * tau_min)
         if floor > 0:
             bound_value = oracle.regret_bound(K, comparator.norm_sq, cfg.alpha,
-                                              prof, floor)
+                                              replace(prof, sigma=sigma), floor)
             bound_ok = bool(r_t <= bound_value)
     sampler_size = len(learner.kors.dict) if hasattr(learner, "kors") else 0
     # each solver against the gram rebuilt from its store's members, once,

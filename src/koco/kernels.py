@@ -35,10 +35,14 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
+        if not self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be finite")
         if not (self.degree >= 1 and float(self.degree).is_integer()):
             raise ValueError("degree must be a positive integer")
         if not self.offset >= 0:
             raise ValueError("offset must be nonnegative")
+        if not self.offset < np.inf:
+            raise ValueError("offset must be finite")
 
 
 def gaussian(bandwidth: float = 1.0) -> KernelSpec:

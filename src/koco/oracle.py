@@ -19,7 +19,6 @@ from .errors import NoProgress, NotPositiveDefinite
 from .kons import KonsConfig, eta_at
 from .linalg import psd_solve, sym_eigvals
 from .losses import CurvatureProfile, LossEvent, clip_to_interval, loss_derivative
-from .rng import named_rng
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +88,8 @@ def regret_bound(K: np.ndarray, norm_sq: float, alpha: float,
     """Curved-loss regret bound of a fixed-sigma run on a stream with gram
     K against a comparator of squared norm `norm_sq`: alpha * norm_sq +
     2 d_eff log(2 sigma L^2 T) / (sigma * floor), d_eff taken at
-    alpha / (sigma L^2); `floor` bounds the acceptance probabilities."""
+    alpha / (sigma L^2), sigma the run's stepsize constant (at most the
+    loss's curvature); `floor` bounds the acceptance probabilities."""
     sigma, L = profile.sigma, profile.lipschitz
     T = K.shape[0]
     d_eff = effective_dimension(K, alpha / (sigma * L * L))
@@ -152,8 +152,7 @@ class ComparatorResult:
 
 
 def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
-                    restarts: int = 10, iters: int = 5000,
-                    seed: int = 0) -> ComparatorResult:
+                    restarts: int = 3, iters: int = 5000) -> ComparatorResult:
     """Best fixed function in the clipped class, fit offline.
 
     Projected subgradient descent over representer coefficients `a`
@@ -161,11 +160,13 @@ def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
     feasibility constraint max |K a| <= C. Feasibility is restored by
     rescaling the coefficients whenever predictions overflow the
     interval (the feasible set is convex and contains the origin, so
-    radial rescaling is a valid projection surrogate). All restarts run
-    as rows of one coefficient matrix A; the best feasible iterate seen
-    anywhere is returned. Any feasible output only loosens measured
-    regret, never invalidates a bound check. Every event must carry the
-    same loss family.
+    radial rescaling is a valid projection surrogate). The first
+    `restarts` (1 to 3) of three deterministic starts run as rows of one
+    coefficient matrix A: the origin, then the feasibility-rescaled ridge
+    fits of the targets (labels for classification) at 1e-3 and 1.0. The
+    best feasible iterate seen anywhere is returned. Any feasible output
+    only loosens measured regret, never invalidates a bound check. Every
+    event must carry the same loss family.
 
     A step moves A by a multiple of D K (D the loss derivatives), so A
     stays c⊙A0 + B K: A0 the starts, c each restart's product of rescale
@@ -174,6 +175,8 @@ def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
     more T×T buffer; coefficients are formed only for the returned
     iterate.
     """
+    if not 1 <= restarts <= 3:
+        raise ValueError(f"restarts must lie in [1, 3], got {restarts}")
     K = np.asarray(K, dtype=np.float64)
     T = K.shape[0]
     if T != len(events):
@@ -183,15 +186,9 @@ def best_comparator(K: np.ndarray, events: list[LossEvent], C: float,
         raise ValueError(f"stream mixes loss families {families}")
     family = families[0] if families else losses.SQUARED
     targ = np.array([ev.target for ev in events])
-    rng = named_rng(seed, "comparator-restarts")
     A0 = np.zeros((restarts, T))
-    # two restarts warm-start at feasibility-rescaled ridge fits of the
-    # targets (labels for classification), the rest perturb the origin
-    for j, ridge in enumerate((1e-3, 1.0)):
-        if j + 1 < restarts:
-            A0[j + 1] = psd_solve(K, ridge, targ)
-    if restarts > 3:
-        A0[3:] = rng.normal(scale=0.1 / max(T, 1), size=(T, restarts - 3)).T
+    for j, ridge in enumerate((1e-3, 1.0)[: restarts - 1]):
+        A0[j + 1] = psd_solve(K, ridge, targ)
     K2 = K @ K
     P0 = A0 @ K
     c = np.ones(restarts)

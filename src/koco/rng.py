@@ -1,9 +1,9 @@
 """Named, counter-based random streams.
 
 Every source of randomness in an experiment (stream generation, sampler
-coins, sketch coins, comparator restarts) draws from its own Philox
-stream derived from one master seed plus a stable name, so a single
-integer reproduces an entire run bit-for-bit across platforms.
+coins, sketch coins; the offline comparator draws none) has its own
+Philox stream derived from one master seed plus a stable name, so a
+single integer reproduces an entire run bit-for-bit across platforms.
 """
 
 from __future__ import annotations

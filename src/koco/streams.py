@@ -37,6 +37,12 @@ class SyntheticSpec:
             raise ValueError("horizon must be at least 1")
         if self.input_dim < 1:
             raise ValueError("input_dim must be at least 1")
+        if self.n_centers < 1:
+            raise ValueError("n_centers must be at least 1")
+        if self.cluster_count < 0:
+            raise ValueError("cluster_count must be nonnegative")
+        if not 0 < self.clip_c < np.inf:
+            raise ValueError("clip_c must be positive and finite")
         if not 0 <= self.noise_sd < np.inf:
             raise ValueError("noise_sd must be finite and nonnegative")
         if not np.isfinite(self.spread):

@@ -166,7 +166,7 @@ def _regret_summary(cfg: harness.ExperimentConfig, seed: int) -> harness.RunSumm
     K = gram(cfg.kernel, np.vstack([ev.point for ev in events]))
     key = (seed, cfg.horizon)
     if key not in _COMPARATOR_CACHE:
-        _COMPARATOR_CACHE[key] = oracle.best_comparator(K, events, cfg.clip_c, seed=seed)
+        _COMPARATOR_CACHE[key] = oracle.best_comparator(K, events, cfg.clip_c)
     learner = harness.run_stream(cfg, seed, events)
     return harness.summarize_run(cfg, seed, learner, _COMPARATOR_CACHE[key], K)
 
@@ -463,7 +463,7 @@ def inv_comparator_feasible():
     events = replace(_BASE, horizon=80).events(37)
     pts = np.vstack([ev.point for ev in events])
     K = gram(gaussian(1.0), pts)
-    comp = oracle.best_comparator(K, events, 1.0, restarts=4, iters=1500, seed=0)
+    comp = oracle.best_comparator(K, events, 1.0, iters=1500)
     zero_loss = float(sum(losses.loss_value(ev, 0.0) for ev in events))
     feasible = float(np.max(np.abs(comp.preds))) <= 1.0 + 1e-6
     return feasible and comp.total_loss <= zero_loss + 1e-9, (

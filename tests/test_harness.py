@@ -83,6 +83,22 @@ def test_non_finite_setting_is_a_config_error(setting, value):
         parse_config_text("\n".join(kept + [f"{setting} = {value}"]))
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("bandwidth = inf", "bandwidth must be finite"),
+    ("kernel = polynomial-normalized\noffset = inf", "offset must be finite"),
+    ("n_centers = 0", "n_centers must be at least 1"),
+    ("n_centers = -1", "n_centers must be at least 1"),
+    ("cluster_count = -2", "cluster_count must be nonnegative"),
+], ids=["bandwidth-inf", "offset-inf", "n_centers-0", "n_centers-negative",
+        "cluster_count-negative"])
+def test_kernel_and_stream_settings_are_checked(setting, message):
+    keys = {line.split("=", 1)[0].strip() for line in setting.splitlines()}
+    kept = [line for line in BASE_CONFIG.splitlines()
+            if line.split("=", 1)[0].strip() not in keys]
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text("\n".join(kept + [setting]))
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         parse_config_text(BASE_CONFIG + "alpha = 2.0\n")
@@ -224,7 +240,7 @@ def test_bound_value_is_the_papers_bound(tmp_path, learner):
     _, summary = run_experiment(cfg, 0, tmp_path)
     events = cfg.events(0)
     K = gram(cfg.kernel, np.vstack([ev.point for ev in events]))
-    comparator = oracle.best_comparator(K, events, 1.0, seed=0)
+    comparator = oracle.best_comparator(K, events, 1.0)
     sigma, L, alpha, T = 0.125, 4.0, 1.0, 40
     d_eff = oracle.effective_dimension(K, alpha / (sigma * L * L))
     floor = 1.0
@@ -236,6 +252,26 @@ def test_bound_value_is_the_papers_bound(tmp_path, learner):
         + 2.0 * d_eff * np.log(2.0 * sigma * L * L * T) / (sigma * floor)
     assert summary.bound_value == pytest.approx(expected, rel=1e-12)
     assert summary.bound_ok == (summary.r_t <= summary.bound_value)
+
+
+def test_bound_is_taken_at_the_runs_sigma(tmp_path):
+    # the gradient term scales with the run's own stepsize, so the bound
+    # is evaluated at the configured sigma; above the family's 0.125
+    # R_D <= 0 fails, and no bound applies
+    events = parse_config_text(BASE_CONFIG).events(0)
+    K = gram(gaussian(1.0), np.vstack([ev.point for ev in events]))
+    norm_sq = oracle.best_comparator(K, events, 1.0).norm_sq
+    prof = curvature_profile("squared", 1.0)
+    bounds = {}
+    for sigma in (0.00625, 0.125, 2.5):
+        cfg = parse_config_text(BASE_CONFIG + f"sigma = {sigma}\n")
+        _, summary = run_experiment(cfg, 0, tmp_path)
+        bounds[sigma] = summary.bound_value
+    assert bounds[0.00625] == oracle.regret_bound(K, norm_sq, 1.0,
+                                                  replace(prof, sigma=0.00625), 1.0)
+    assert bounds[0.125] == oracle.regret_bound(K, norm_sq, 1.0, prof, 1.0)
+    assert bounds[0.00625] != bounds[0.125]
+    assert bounds[2.5] is None and summary.bound_ok is None
 
 
 def sketched_summary():

@@ -11,6 +11,7 @@ from koco.oracle import (best_comparator, dual_preconditioner, effective_dimensi
                          exact_rls, logdet_chain, online_effective_dimension,
                          prefix_rls, primal_ons, psd_sqrt, spectral_audit)
 from koco.rng import named_rng
+from koco.streams import SyntheticSpec, generate_stream
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +171,7 @@ def test_comparator_feasible_and_no_worse_than_zero():
     K = gram(gaussian(1.0), pts)
     events = [LossEvent(p, "logistic", float(l))
               for p, l in zip(pts, rng.choice([-1.0, 1.0], 40))]
-    comp = best_comparator(K, events, 0.8, restarts=4, iters=800)
+    comp = best_comparator(K, events, 0.8, iters=800)
     zero_loss = 40 * np.log(2)
     assert np.max(np.abs(comp.preds)) <= 0.8 + 1e-6
     assert comp.total_loss <= zero_loss + 1e-9
@@ -182,6 +183,14 @@ def test_comparator_rejects_mixed_families():
               LossEvent(np.ones(1), "logistic", 1.0)]
     with pytest.raises(ValueError, match="logistic.*squared"):
         best_comparator(K, events, 1.0, restarts=2, iters=10)
+
+
+@pytest.mark.parametrize("restarts", [0, 4])
+def test_comparator_refuses_restarts_outside_the_three_starts(restarts):
+    K = np.eye(2)
+    events = [LossEvent(np.zeros(1), "squared", 0.5), LossEvent(np.ones(1), "squared", 0.1)]
+    with pytest.raises(ValueError, match=r"restarts must lie in \[1, 3\]"):
+        best_comparator(K, events, 1.0, restarts=restarts, iters=10)
 
 
 def two_product_comparator(K, events, C, restarts=10, iters=5000, seed=0):
@@ -263,6 +272,21 @@ def test_implicit_coefficients_match_two_product_loop(family, T, C):
     assert np.max(np.abs(comp.preds - K @ comp.coeffs)) < 1e-9
     assert comp.norm_sq == pytest.approx(float(comp.coeffs @ K @ comp.coeffs), rel=1e-9)
     preds, total_loss, norm_sq = two_product_comparator(K, events, C)
+    assert np.max(np.abs(comp.preds - preds)) < 1e-9
+    assert comp.total_loss == pytest.approx(total_loss, rel=1e-9)
+    assert comp.norm_sq == pytest.approx(norm_sq, rel=1e-9)
+
+
+@pytest.mark.parametrize("family", ["squared", "logistic", "squared-hinge"])
+def test_three_starts_match_ten_restarts_on_the_readme_stream(family):
+    # the README config's stream at T=125, seed 0: no random start of the
+    # ten-restart reference supplies its comparator
+    spec = SyntheticSpec(generator="rkhs-target", input_dim=3, horizon=125,
+                         noise_sd=0.1, clip_c=1.0)
+    events = generate_stream(spec, 0, kernel=gaussian(1.0), family=family)
+    K = gram(gaussian(1.0), np.vstack([ev.point for ev in events]))
+    comp = best_comparator(K, events, 1.0)
+    preds, total_loss, norm_sq = two_product_comparator(K, events, 1.0)
     assert np.max(np.abs(comp.preds - preds)) < 1e-9
     assert comp.total_loss == pytest.approx(total_loss, rel=1e-9)
     assert comp.norm_sq == pytest.approx(norm_sq, rel=1e-9)

@@ -54,6 +54,13 @@ def test_orthogonal_drift_spacing():
     assert np.allclose(np.diff(xs), 10.0)
 
 
+@pytest.mark.parametrize("clip_c", [0.0, -1.0, float("inf"), float("nan")])
+def test_spec_clip_c_must_be_positive_and_finite(clip_c):
+    # a generator that is not built through an ExperimentConfig checks C itself
+    with pytest.raises(ValueError, match="clip_c must be positive and finite"):
+        SyntheticSpec(generator="sixsix-adversary", input_dim=2, horizon=4, clip_c=clip_c)
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 # ---------------------------------------------------------------------------

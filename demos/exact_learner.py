@@ -3,8 +3,8 @@
 
 Runs the learner on a seeded synthetic regression stream, then compares
 its cumulative loss and measured regret against the first-order baseline
-and the offline comparator, and checks the curved-loss regret bound
-numerically.
+and the regularized offline comparator, and checks the curved-loss
+regret bound numerically.
 """
 
 from dataclasses import replace
@@ -31,7 +31,7 @@ with TemporaryDirectory() as out:
 print(f"\ncumulative loss: second-order {newton.cumulative_loss:.3f}   "
       f"first-order baseline {baseline.cumulative_loss:.3f}")
 
-# --- regret against the best fixed clipped function -------------------------
+# --- regret against the regularized comparator, argmin L(u) + alpha |u|^2 ---
 
 print(f"comparator loss {newton.comparator_loss:.3f}  ->  regret R_T = {newton.r_t:.3f}")
 print(f"decomposition: gradient term R_G = {newton.r_g:.3f}, "

@@ -331,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int,
     comparator = K = None
     if cfg.comparator:
         K = kernels.gram(cfg.kernel, np.vstack([ev.point for ev in events]))
-        comparator = oracle.best_comparator(K, events, cfg.clip_c)
+        comparator = oracle.regularized_comparator(K, events, cfg.clip_c, cfg.alpha)
 
     summary = summarize_run(cfg, seed, learner, comparator, K)
     trace_path = out / f"trace_{cfg.learner}_{seed}.csv"

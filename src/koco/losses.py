@@ -1,6 +1,6 @@
-"""Convex losses and their derivatives, written once elementwise for the
-learners, the curvature grid and the comparator; curvature constants; and
-the prediction-interval clipping function.
+"""Convex losses and their first and second derivatives, written once
+elementwise for the learners, the curvature grid and the comparators;
+curvature constants; and the prediction-interval clipping function.
 
 Each family carries a curvature constant sigma such that
     loss(b) >= loss(a) + loss'(a)(b-a) + (sigma/2)(loss'(a)(b-a))^2
@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
+
+# the logistic branches import scipy.special's expit where they use it,
+# so that `import koco` does not load scipy.special
 
 SQUARED = "squared"
 LOGISTIC = "logistic"
@@ -77,8 +79,20 @@ def derivative(family: str, target, pred):
     if family == SQUARED:
         return 2.0 * (pred - target)
     if family == LOGISTIC:
+        from scipy.special import expit
         return -target * expit(-target * pred)
     return -2.0 * target * np.maximum(0.0, 1.0 - target * pred)
+
+
+def second_derivative(family: str, target, pred):
+    """Second derivative of `value` in `pred`, elementwise; at the squared
+    hinge's kink, its right-hand value 0."""
+    if family == SQUARED:
+        return np.full(np.shape(pred), 2.0)
+    if family == LOGISTIC:
+        from scipy.special import expit
+        return expit(target * pred) * expit(-target * pred)
+    return np.where(target * pred < 1.0, 2.0, 0.0)
 
 
 def loss_value(ev: LossEvent, yhat: float) -> float:

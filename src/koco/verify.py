@@ -164,9 +164,10 @@ def _regret_summary(cfg: harness.ExperimentConfig, seed: int) -> harness.RunSumm
     comparator of each stream."""
     events = cfg.events(seed)
     K = gram(cfg.kernel, np.vstack([ev.point for ev in events]))
-    key = (seed, cfg.horizon)
+    key = (seed, cfg.horizon, cfg.alpha)
     if key not in _COMPARATOR_CACHE:
-        _COMPARATOR_CACHE[key] = oracle.best_comparator(K, events, cfg.clip_c)
+        _COMPARATOR_CACHE[key] = oracle.regularized_comparator(K, events, cfg.clip_c,
+                                                               cfg.alpha)
     learner = harness.run_stream(cfg, seed, events)
     return harness.summarize_run(cfg, seed, learner, _COMPARATOR_CACHE[key], K)
 
@@ -460,15 +461,19 @@ def inv_oracle_consistency():
 
 
 def inv_comparator_feasible():
-    events = replace(_BASE, horizon=80).events(37)
-    pts = np.vstack([ev.point for ev in events])
-    K = gram(gaussian(1.0), pts)
-    comp = oracle.best_comparator(K, events, 1.0, iters=1500)
+    """The comparator `koco run` reports is feasible, and its regularized
+    objective F(u) = L(u) + alpha |u|^2 is at most F(0) = L(0)."""
+    cfg = replace(_BASE, horizon=80)
+    events = cfg.events(37)
+    K = gram(cfg.kernel, np.vstack([ev.point for ev in events]))
+    comp = oracle.regularized_comparator(K, events, cfg.clip_c, cfg.alpha)
+    objective = comp.total_loss + cfg.alpha * comp.norm_sq
     zero_loss = float(sum(losses.loss_value(ev, 0.0) for ev in events))
-    feasible = float(np.max(np.abs(comp.preds))) <= 1.0 + 1e-6
-    return feasible and comp.total_loss <= zero_loss + 1e-9, (
-        f"max |pred| {np.max(np.abs(comp.preds)):.4f}; loss {comp.total_loss:.3f} "
-        f"vs zero-function {zero_loss:.3f}")
+    max_pred = float(np.max(np.abs(comp.preds)))
+    feasible = max_pred <= cfg.clip_c + 1e-6
+    return feasible and objective <= zero_loss + 1e-9, (
+        f"max |pred| {max_pred:.4f}; F(u) = loss {comp.total_loss:.3f} + "
+        f"alpha |u|^2 {cfg.alpha * comp.norm_sq:.3f} vs zero-function {zero_loss:.3f}")
 
 
 # ===========================================================================

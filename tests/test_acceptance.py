@@ -13,10 +13,11 @@ from koco import verify
 RUNTIME_CAPS = {
     "acceptance/1-primal-equivalence": 10.0,
     "acceptance/3-sampler-guarantees": 300.0,
-    "acceptance/5-curved-regret-bound": 60.0,
+    "acceptance/5-curved-regret-bound": 20.0,
+    "acceptance/6-sketched-regret-bound": 45.0,
 }
 
-# the criteria that take most of the suite's time; `-m "not slow"` skips them
+# the criteria of 5 s or more in a `--durations=15` run; `-m "not slow"` skips them
 SLOW = {"5-curved-regret-bound", "6-sketched-regret-bound",
         "7-alternating-adversary", "9-speedup-trend"}
 

@@ -240,7 +240,7 @@ def test_bound_value_is_the_papers_bound(tmp_path, learner):
     _, summary = run_experiment(cfg, 0, tmp_path)
     events = cfg.events(0)
     K = gram(cfg.kernel, np.vstack([ev.point for ev in events]))
-    comparator = oracle.best_comparator(K, events, 1.0)
+    comparator = oracle.regularized_comparator(K, events, 1.0, 1.0)
     sigma, L, alpha, T = 0.125, 4.0, 1.0, 40
     d_eff = oracle.effective_dimension(K, alpha / (sigma * L * L))
     floor = 1.0
@@ -260,7 +260,7 @@ def test_bound_is_taken_at_the_runs_sigma(tmp_path):
     # R_D <= 0 fails, and no bound applies
     events = parse_config_text(BASE_CONFIG).events(0)
     K = gram(gaussian(1.0), np.vstack([ev.point for ev in events]))
-    norm_sq = oracle.best_comparator(K, events, 1.0).norm_sq
+    norm_sq = oracle.regularized_comparator(K, events, 1.0, 1.0).norm_sq
     prof = curvature_profile("squared", 1.0)
     bounds = {}
     for sigma in (0.00625, 0.125, 2.5):

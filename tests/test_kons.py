@@ -223,7 +223,6 @@ def rkhs_events(seed, T):
     return generate_stream(spec, seed, kernel=gaussian(1.0))
 
 
-@pytest.mark.slow
 def test_audits_hold_past_two_refreshes():
     # long horizon: each inverse passes the refreshes at orders 512 and
     # 1024 and stays the inverse of the gram its owner rebuilds; the
@@ -246,7 +245,6 @@ def test_audits_hold_past_two_refreshes():
     assert sketched.audit_cache() <= 1e-8
 
 
-@pytest.mark.slow
 def test_sampler_factor_holds_over_a_long_horizon():
     # at beta 100 the sampler admits all 3000 points; its factor, grown
     # row by row and never rebuilt, still solves with the members' gram

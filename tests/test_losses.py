@@ -1,10 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from koco.losses import (FAMILIES, CurvatureProfile, LossEvent,
                          asm_curvature_slack, clip_to_interval,
-                         curvature_profile, loss_derivative, loss_value)
+                         curvature_profile, derivative, loss_derivative,
+                         loss_value, second_derivative)
 
 PT = np.zeros(1)
 
@@ -31,6 +35,8 @@ def test_derivative_matches_finite_differences(family):
         y = float(rng.uniform(-C, C))
         num = (loss_value(ev, y + h) - loss_value(ev, y - h)) / (2 * h)
         assert loss_derivative(ev, y) == pytest.approx(num, abs=1e-6)
+        num2 = (derivative(family, p, y + h) - derivative(family, p, y - h)) / (2 * h)
+        assert second_derivative(family, p, y) == pytest.approx(num2, abs=1e-6)
 
 
 def test_rejects_bad_labels_and_family():
@@ -100,3 +106,13 @@ def test_derivative_bound_grid(family):
         p = float(rng.uniform(-C, C)) if family == "squared" else float(rng.choice([-1.0, 1.0]))
         y = float(rng.uniform(-C, C))
         assert abs(loss_derivative(LossEvent(PT, family, p), y)) <= prof.lipschitz + 1e-12
+
+
+def test_import_koco_does_not_load_scipy_special():
+    # the logistic branches import it where they use it
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, koco; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

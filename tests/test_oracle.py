@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koco import losses
+from koco import losses, oracle
 from koco.errors import NoProgress
 from koco.kernels import gaussian, gram
 from koco.kons import KonsConfig
@@ -9,7 +9,8 @@ from koco.linalg import psd_solve
 from koco.losses import LossEvent, curvature_profile
 from koco.oracle import (best_comparator, dual_preconditioner, effective_dimension,
                          exact_rls, logdet_chain, online_effective_dimension,
-                         prefix_rls, primal_ons, psd_sqrt, spectral_audit)
+                         prefix_rls, primal_ons, psd_sqrt, regularized_comparator,
+                         spectral_audit)
 from koco.rng import named_rng
 from koco.streams import SyntheticSpec, generate_stream
 
@@ -277,19 +278,81 @@ def test_implicit_coefficients_match_two_product_loop(family, T, C):
     assert comp.norm_sq == pytest.approx(norm_sq, rel=1e-9)
 
 
-@pytest.mark.parametrize("family", ["squared", "logistic", "squared-hinge"])
-def test_three_starts_match_ten_restarts_on_the_readme_stream(family):
-    # the README config's stream at T=125, seed 0: no random start of the
-    # ten-restart reference supplies its comparator
+def readme_stream(family):
+    """Gram and events of the README config's stream at T=125, seed 0."""
     spec = SyntheticSpec(generator="rkhs-target", input_dim=3, horizon=125,
                          noise_sd=0.1, clip_c=1.0)
     events = generate_stream(spec, 0, kernel=gaussian(1.0), family=family)
-    K = gram(gaussian(1.0), np.vstack([ev.point for ev in events]))
+    return gram(gaussian(1.0), np.vstack([ev.point for ev in events])), events
+
+
+@pytest.mark.parametrize("family", ["squared", "logistic", "squared-hinge"])
+def test_three_starts_match_ten_restarts_on_the_readme_stream(family):
+    # no random start of the ten-restart reference supplies its comparator
+    K, events = readme_stream(family)
     comp = best_comparator(K, events, 1.0)
     preds, total_loss, norm_sq = two_product_comparator(K, events, 1.0)
     assert np.max(np.abs(comp.preds - preds)) < 1e-9
     assert comp.total_loss == pytest.approx(total_loss, rel=1e-9)
     assert comp.norm_sq == pytest.approx(norm_sq, rel=1e-9)
+
+
+def regularized_objective(comp, alpha):
+    return comp.total_loss + alpha * comp.norm_sq
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_regularized_squared_fit_is_the_ridge_solve(alpha):
+    K, events = readme_stream("squared")
+    y = np.array([ev.target for ev in events])
+    comp = regularized_comparator(K, events, 1.0, alpha)
+    assert np.max(np.abs(comp.preds)) < 1.0  # feasible: no rescale
+    ridge = psd_solve(K, alpha, y)
+    assert np.max(np.abs(comp.coeffs - ridge)) <= 1e-10 * np.max(np.abs(ridge))
+    grad = K @ (losses.derivative("squared", y, K @ comp.coeffs) + 2 * alpha * comp.coeffs)
+    assert np.max(np.abs(grad)) < 1e-8
+
+
+@pytest.mark.parametrize("family", ["squared", "logistic", "squared-hinge"])
+def test_regularized_comparator_beats_the_loss_only_fit(family):
+    # Theorem 1's last step is alpha |u|^2 + L(u): lower at the regularized
+    # fit than at the loss-only one
+    K, events = readme_stream(family)
+    comp = regularized_comparator(K, events, 1.0, 1.0)
+    assert np.max(np.abs(comp.preds)) <= 1.0
+    assert np.max(np.abs(comp.preds - K @ comp.coeffs)) < 1e-9
+    assert comp.norm_sq == pytest.approx(float(comp.coeffs @ K @ comp.coeffs), rel=1e-12)
+    loss_only = best_comparator(K, events, 1.0)
+    assert regularized_objective(comp, 1.0) <= regularized_objective(loss_only, 1.0)
+
+
+def test_regularized_fit_outside_the_slab_is_rescaled_onto_it():
+    K, events = random_target_stream("logistic", 120)
+    C, alpha = 0.3, 1e-3
+    free = regularized_comparator(K, events, np.inf, alpha)
+    comp = regularized_comparator(K, events, C, alpha)
+    over = np.max(np.abs(free.preds))
+    assert over > C
+    assert np.max(np.abs(comp.preds)) == pytest.approx(C, rel=1e-12)
+    assert np.max(np.abs(comp.coeffs - free.coeffs * (C / over))) < 1e-12 * np.max(
+        np.abs(free.coeffs))
+    zero = 120 * np.log(2.0)
+    assert regularized_objective(comp, alpha) <= zero
+
+
+def test_regularized_comparator_raises_at_its_iteration_cap(monkeypatch):
+    # the logistic fit needs more than one Newton step
+    monkeypatch.setattr(oracle, "NEWTON_MAX_ITERS", 1)
+    K, events = readme_stream("logistic")
+    with pytest.raises(NoProgress, match="did not converge in 1 steps"):
+        regularized_comparator(K, events, 1.0, 1.0)
+
+
+def test_regularized_comparator_rejects_mixed_families():
+    events = [LossEvent(np.zeros(1), "squared", 0.5),
+              LossEvent(np.ones(1), "logistic", 1.0)]
+    with pytest.raises(ValueError, match="logistic.*squared"):
+        regularized_comparator(np.eye(2), events, 1.0, 1.0)
 
 
 def test_no_progress_error_exists():

@@ -59,7 +59,7 @@ def polynomial(degree: int, offset: float = 0.0) -> KernelSpec:
 
 def _finite_point(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("point contains NaN/Inf")
     return x
 
@@ -97,7 +97,7 @@ def _stack(history) -> np.ndarray:
     return H
 
 
-def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
+def cross_vector(spec: KernelSpec, history, x, *, h_self=None) -> np.ndarray:
     """Vector of k(history[i], x) for every i, in order.
 
     The query x is checked first, against an empty history too: NaN/Inf
@@ -107,7 +107,8 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     coordinate at a time, inner products through einsum, not a BLAS
     product, which takes another path for one row than for many), so the
     row against part of the history is a gather of the row against all
-    of it."""
+    of it. A cosine family takes the rows' own terms from `h_self` when
+    their owner caches them, as `_history_self` gives them."""
     x = _finite_point(x)
     x_self = _query_self(spec, x)
     H = _stack(history)
@@ -116,8 +117,9 @@ def cross_vector(spec: KernelSpec, history, x) -> np.ndarray:
     if H.shape[1] != x.shape[0]:
         raise DimensionMismatch(f"coordinate dimensions {H.shape[1]} vs {x.shape[0]}")
     if spec.family == GAUSSIAN:
-        return _gaussian(spec, _sq_dists(H, x[None])[0])
-    return _cosine(spec, np.einsum("ij,j->i", H, x), _history_self(spec, H), x_self)
+        return _gaussian(spec, _sq_dists(H, x))
+    h_self = _history_self(spec, H) if h_self is None else h_self
+    return _cosine(spec, np.einsum("ij,j->i", H, x), h_self, x_self)
 
 
 def _query_self(spec: KernelSpec, x: np.ndarray) -> float | None:
@@ -165,12 +167,13 @@ def _gaussian(spec: KernelSpec, sq_dists: np.ndarray, out=None) -> np.ndarray:
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """|A[i] - B[j]|² at [j, i], each sum of (A[i] - B[j])² taken over the
-    coordinates left to right, a coordinate at a time over every pair."""
-    acc = A[:, 0] - B[:, 0, None]
+    """|A[i] - B[j]|² at [j, i], or at [i] for one point B (1-D), each sum of
+    (A[i] - B[j])² taken left to right, a coordinate at a time over every pair."""
+    cols = B if B.ndim == 1 else B.T[..., None]  # coordinate k: scalar or column
+    acc = A[:, 0] - cols[0]
     acc *= acc
     for k in range(1, A.shape[1]):
-        sq = A[:, k] - B[:, k, None]
+        sq = A[:, k] - cols[k]
         sq *= sq
         acc += sq
     return acc

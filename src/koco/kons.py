@@ -14,6 +14,7 @@ test suite checks against the oracle module at every step.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -22,7 +23,8 @@ import numpy as np
 from .errors import SchurNotPositive
 # eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
 # stays because perfbench's tracer hooks its kernels.diag layer on it
-from .kernels import KernelSpec, cross_vector, eval_kernel, rescaled_gram  # noqa: F401
+from .kernels import (GAUSSIAN, KernelSpec, _history_self, cross_vector,  # noqa: F401
+                      eval_kernel, rescaled_gram)
 from .kors import Dictionary, Rounds
 from .linalg import RegularizedInverse, grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
@@ -64,10 +66,10 @@ def eta_at(cfg: KonsConfig, t: int) -> float:
         raise ValueError("rounds are 1-based")
     if cfg.eta_mode == ETA_FIXED_SIGMA:
         return cfg.sigma
-    return float(1.0 / (cfg.lipschitz * cfg.clip_c * np.sqrt(t)))
+    return float(1.0 / (cfg.lipschitz * cfg.clip_c * math.sqrt(t)))
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """Per-round trace entry (shared by all learners)."""
 
@@ -120,6 +122,7 @@ class NewtonCore:
         self.dict = Dictionary(kernel, RegularizedInverse(kons_cfg.alpha), self.rounds)
         self._b = np.zeros(16)       # dual coefficients
         self._kbar_b = np.zeros(16)  # cached rescaled-gram @ b
+        self._own = np.zeros(16)     # a cosine kernel's own term of each round
         self.q_floor_clamps = 0  # nonzero-derivative rounds whose q_t fell below Q_FLOOR
         self.rejected_appends = 0  # accepted columns demoted by a singular append
 
@@ -142,14 +145,20 @@ class NewtonCore:
 
     def predict(self, x) -> tuple[float, float]:
         """(unclipped, clipped) prediction for input x; state untouched."""
-        kd = cross_vector(self.kernel, self.rounds.points, x) * self.rounds.d_scale
-        return self._predict(kd)
+        return self._predict(self._row(x))[:2]
 
-    def _predict(self, kd: np.ndarray) -> tuple[float, float]:
+    def _row(self, x) -> np.ndarray:
+        """The round's kernel row over every past round, times their d."""
+        return cross_vector(self.kernel, self.rounds.points, x,
+                            h_self=self._own[: self.t]) * self.rounds.d_scale
+
+    def _predict(self, kd: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """(unclipped, clipped) prediction from the row kd, and kd at the members."""
         members = self.dict.indices
-        corr = kd[members] @ self.dict.solver.apply(self.kbar_b[members])
-        ybar = (float(kd @ self.b) - float(corr)) / self._kcfg.alpha
-        return ybar, clip_to_interval(ybar, self._kcfg.clip_c)
+        kd_m = kd[members]
+        corr = kd_m @ self.dict.solver.apply(self._kbar_b[members])
+        ybar = (float(kd @ self._b[: self.t]) - float(corr)) / self._kcfg.alpha
+        return ybar, clip_to_interval(ybar, self._kcfg.clip_c), kd_m
 
     # -- update ----------------------------------------------------------
 
@@ -158,33 +167,38 @@ class NewtonCore:
         tic = time.perf_counter_ns()
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         t_new = self.t + 1
-        if not np.isfinite(x).all():
-            raise ValueError(f"round {t_new}: point contains NaN/Inf")
-        kd = cross_vector(self.kernel, self.rounds.points, x) * self.rounds.d_scale
-        ybar, yhat = self._predict(kd)
+        try:  # the point's one check, its NaN/Inf error named with the round
+            kd = self._row(x)
+        except ValueError as exc:
+            raise ValueError(f"round {t_new}: {exc}") from None
+        ybar, yhat, kd_m = self._predict(kd)
 
         cfg = self._kcfg
         eta = eta_at(cfg, t_new)
         gdot = loss_derivative(ev, yhat)
-        d_t = gdot * float(np.sqrt(eta))
+        d_t = gdot * math.sqrt(eta)
 
         # rescaled kernel row of the new point (zero row when gdot == 0);
         # every kernel in koco.kernels has k(x, x) = 1, so the corner is d_t^2
         kc = kd * d_t
         kdiag = d_t * d_t
-        w = kc[self.dict.indices]
+        w = kd_m * d_t  # kc[members], bit for bit
         u = self.dict.solver.apply(w)
         q_raw = (kdiag - float(w @ u)) / cfg.alpha
         q = max(q_raw, Q_FLOOR)
         # a clamp counts where it changes b_t: at d_t = 0 the term
         # d_t * (ybar - yhat) / q below is 0 whatever q is
         self.q_floor_clamps += d_t != 0.0 and q_raw < Q_FLOOR
-        b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / np.sqrt(eta)
+        b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / math.sqrt(eta)
 
         t = self.t
+        own = _history_self(self.kernel, x[None])[0] if self.kernel.family != GAUSSIAN else 0.0
         self.rounds.append(x, d_t)
-        self._b = grown(self._b, t_new, t)
-        self._kbar_b = grown(self._kbar_b, t_new, t)
+        if t == self._b.shape[0]:
+            self._b = grown(self._b, t_new, t)
+            self._kbar_b = grown(self._kbar_b, t_new, t)
+            self._own = grown(self._own, t_new, t)
+        self._own[t] = own  # a cosine kernel's own term, cached for every later row
         self._b[t] = b_t
         self._kbar_b[:t] += kc * b_t
         self._kbar_b[t] = float(kc @ self._b[:t]) + kdiag * b_t

@@ -10,6 +10,7 @@ importance weight 1/probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ def dict_size_bound(cfg: KorsConfig, d_onl: float) -> float:
     return 3.0 * cfg.rho * cfg.beta * d_onl / cfg.epsilon**2
 
 
-@dataclass
+@dataclass(slots=True)
 class KorsStep:
     tau_tilde: float
     p_tilde: float
@@ -120,15 +121,17 @@ class Dictionary:
 
         The weight w = 1/prob scales the border by √w and the corner by
         w; the product scaled by √w stands for the product of cross·√w,
-        which it equals up to rounding. At prob = 1 each scaling
-        multiplies by 1.0 and leaves every bit."""
+        which it equals up to rounding. At prob = 1 the scalings, by 1.0,
+        would leave every bit, and are skipped."""
         w = 1.0 / prob
-        sw = np.sqrt(w)
-        due = self.solver.append(cross * sw, kdiag * w, product * sw)
+        sw = math.sqrt(w)
+        due = (self.solver.append(cross, kdiag, product) if prob == 1.0 else
+               self.solver.append(cross * sw, kdiag * w, product * sw))
         n = self._n
-        self._sw = grown(self._sw, n + 1, n)
-        self._i = grown(self._i, n + 1, n)
-        self._p = grown(self._p, n + 1, n)
+        if n == self._p.shape[0]:
+            self._sw = grown(self._sw, n + 1, n)
+            self._i = grown(self._i, n + 1, n)
+            self._p = grown(self._p, n + 1, n)
         self._sw[n] = sw
         self._i[n] = index
         self._p[n] = prob
@@ -177,8 +180,9 @@ class Rounds:
         n = self._n
         if n == 0:
             self._pts = np.zeros((16, x.shape[0]))
-        self._pts = grown(self._pts, n + 1, n)
-        self._d = grown(self._d, n + 1, n)
+        elif n == self._d.shape[0]:
+            self._pts = grown(self._pts, n + 1, n)
+            self._d = grown(self._d, n + 1, n)
         self._pts[n] = x
         self._d[n] = d_t
         self._n = n + 1

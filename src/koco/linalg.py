@@ -57,10 +57,8 @@ ROW_STRIDE_STEP = 128
 # ---------------------------------------------------------------------------
 
 def grown(buf: np.ndarray, n: int, used: int) -> np.ndarray:
-    """`buf` when it has at least n rows, else a copy of its first `used`
-    rows in a zeroed buffer of max(2 * rows, n) rows."""
-    if buf.shape[0] >= n:
-        return buf
+    """A copy of the first `used` rows of `buf`, which has fewer than n, in
+    a zeroed buffer of max(2 * rows, n) rows (called only when it is full)."""
     new = np.zeros((max(2 * buf.shape[0], n),) + buf.shape[1:], dtype=buf.dtype)
     new[:used] = buf[:used]
     return new
@@ -118,7 +116,10 @@ def schur_ok(s: float, diag: float, alpha: float) -> bool:
 
 def _border(cross, order: int) -> np.ndarray:
     """`cross` as a float64 vector of length `order` (the length only is
-    checked: the callers build it from points already checked)."""
+    checked: the callers build it from points already checked); a float64
+    ndarray of that shape is returned as it is."""
+    if type(cross) is np.ndarray and cross.dtype == np.float64 and cross.shape == (order,):
+        return cross
     cross = np.asarray(cross, dtype=np.float64).reshape(-1)
     if cross.shape[0] != order:
         raise ValueError(f"cross has length {cross.shape[0]}, expected {order}")
@@ -168,6 +169,7 @@ class RegularizedInverse:
         self._flat = np.zeros(0)      # cap² entries holding the inverse's rows
         self._inv = np.zeros((0, 0))  # _flat as rows of the current stride
         self._upad = np.zeros(0)      # u zero-padded to the stride
+        self._scratch = np.zeros(0)   # a row block of the update, kept per stride
 
     # -- views ---------------------------------------------------------
 
@@ -183,6 +185,8 @@ class RegularizedInverse:
         if n <= self._inv.shape[1]:  # orders up to w keep stride w
             return
         order, w = self.order, _row_stride(n)
+        rows = _block_rows(w)
+        self._scratch = np.empty(min(rows, w) * w)
         if n > self._cap:
             cap = max(16, n, 2 * self._cap)
             flat = np.zeros(cap * cap)
@@ -191,11 +195,9 @@ class RegularizedInverse:
         else:
             # last rows first: a block's new place lies past every row not
             # yet moved, so only the block itself overlaps; copy it via tmp
-            rows = _block_rows(w)
-            scratch = np.empty(min(rows, order) * order)
             for r1 in range(order, 0, -rows):
                 r0 = max(0, r1 - rows)
-                tmp = scratch[: (r1 - r0) * order].reshape(r1 - r0, order)
+                tmp = self._scratch[: (r1 - r0) * order].reshape(r1 - r0, order)
                 tmp[...] = self._inv[r0:r1, :order]
                 dst = self._flat[r0 * w: r1 * w].reshape(r1 - r0, w)
                 dst[:, :order] = tmp
@@ -238,20 +240,18 @@ class RegularizedInverse:
         self._ensure_capacity(n + 1)
         w = self._inv.shape[1]
         rows = _block_rows(w)
-        scratch = np.empty(min(rows, n) * w)
         # each entry gains fl(fl(u_i u_j) / s), as from np.outer(u, u) / s
         # (einsum adds each product to a zeroed output, so a zero product
         # enters as +0), over whole rows: the padding columns gain +0
         self._upad[:n] = u
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
-            tmp = scratch[: (r1 - r0) * w].reshape(r1 - r0, w)
+            tmp = self._scratch[: (r1 - r0) * w].reshape(r1 - r0, w)
             np.einsum("i,j->ij", u[r0:r1], self._upad, out=tmp)
             tmp /= s
             self._inv[r0:r1] += tmp
-        border = -u / s
+        border = np.divide(u, -s, out=self._inv[n, :n])  # -u / s, bit for bit
         self._inv[:n, n] = border
-        self._inv[n, :n] = border
         self._inv[n, n] = 1.0 / s
         self.order = n + 1
         return self.order % REFRESH_EVERY == 0
@@ -361,7 +361,8 @@ class RegularizedFactor:
             raise SchurNotPositive(
                 f"schur complement {s:.3e} below tolerance at order {n}")
         start = n * (n + 1) // 2
-        self._ap = grown(self._ap, start + n + 1, start)
+        if start + n + 1 > self._ap.shape[0]:
+            self._ap = grown(self._ap, start + n + 1, start)
         self._ap[start: start + n] = lc
         self._ap[start + n] = np.sqrt(s)
         self.order = n + 1

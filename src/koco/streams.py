@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StreamParseError, TargetOutOfRange
-from .kernels import KernelSpec, cross_vector, gaussian
+from .kernels import GAUSSIAN, KernelSpec, _gaussian, _sq_dists, cross_vector, gaussian
 from .losses import FAMILIES, LOGISTIC, SQUARED, SQUARED_HINGE, LossEvent
 from .rng import named_rng
 
@@ -69,13 +69,13 @@ def generate_stream(spec: SyntheticSpec, seed: int,
 
     if spec.generator == ALTERNATING_ADVERSARY:
         raw = np.where(np.arange(T) % 2 == 0, C, -C)
-        return _label_events(np.ones((T, dim)), raw, family, C)
+        return _label_events(np.ones((T, dim)), raw, family)
 
     if spec.generator == ORTHOGONAL_DRIFT:
         xs = np.zeros((T, dim))
         xs[:, 0] = spec.spread * np.arange(1, T + 1)
         raw = rng.uniform(-C, C, size=T)
-        return _label_events(xs, raw, family, C)
+        return _label_events(xs, raw, family)
 
     # rkhs-target
     kern = kernel if kernel is not None else gaussian(1.0)
@@ -87,21 +87,24 @@ def generate_stream(spec: SyntheticSpec, seed: int,
         xs = rng.normal(size=(T, dim))
     centers = rng.normal(size=(spec.n_centers, dim))
     coef = rng.normal(size=spec.n_centers)
-    f = np.array([float(coef @ cross_vector(kern, centers, x)) for x in xs])
+    # a gaussian's one block has row j = cross_vector(kern, centers, xs[j]), bit for bit
+    rows = (_gaussian(kern, _sq_dists(centers, xs)) if kern.family == GAUSSIAN
+            else (cross_vector(kern, centers, x) for x in xs))
+    f = np.array([float(coef @ row) for row in rows])
     peak = np.max(np.abs(f))
     if peak > 0:
         f *= 0.8 * C / peak
     raw = f + spec.noise_sd * rng.normal(size=T)
     raw = np.clip(raw, -C, C)
-    return _label_events(xs, raw, family, C)
+    return _label_events(xs, raw, family)
 
 
-def _label_events(xs: np.ndarray, raw: np.ndarray, family: str,
-                  C: float) -> list[LossEvent]:
+def _label_events(xs: np.ndarray, raw: np.ndarray, family: str) -> list[LossEvent]:
+    """An event per point: target raw (drawn within [-C, C]) or its sign."""
     events = []
     for x, v in zip(xs, raw):
         if family == SQUARED:
-            events.append(LossEvent(x.copy(), SQUARED, float(np.clip(v, -C, C))))
+            events.append(LossEvent(x.copy(), SQUARED, float(v)))
         else:
             label = 1.0 if v >= 0 else -1.0
             events.append(LossEvent(x.copy(), family, label))

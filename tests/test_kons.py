@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koco import kons
-from koco.kernels import cross_vector, gaussian, gram, linear
+from koco.kernels import cross_vector, gaussian, gram, linear, polynomial
 from koco.kons import ETA_FIXED_SIGMA, ETA_INVERSE_SQRT, Kons, KonsConfig, eta_at
 from koco.kors import KorsConfig, KorsSampler
 from koco.linalg import REFRESH_EVERY
@@ -318,19 +318,25 @@ def test_demoted_round_reports_the_leverage_it_has():
         assert r.tau == pytest.approx(r.rg_increment * r.eta, rel=1e-12)
 
 
-@pytest.mark.parametrize("kernel", [gaussian(1.0), linear()])
+@pytest.mark.parametrize("kernel", [gaussian(1.0), linear(), polynomial(3, 0.5)])
 def test_gram_rows_are_the_rows_each_round_formed(kernel):
     # the one builder of the rounds' rescaled gram: below the diagonal,
-    # row t is the row round t formed, (k·d_i)·d_t, bit for bit
+    # row t is the row round t formed, (k·d_i)·d_t, bit for bit, whether
+    # from the points alone or, as the learner forms it, from the cosine
+    # normalization terms it cached as each round was written
     _, events = unit_feature_stream(3, 60)
     learner = Kons(kernel, squared_cfg())
     run(learner, events)
     G, P, D = learner.gram(), learner.rounds.points, learner.rounds.d_scale
+    own = learner._own[: learner.t]
     assert np.array_equal(G, G.T)
     for t in range(learner.t):
         kc = cross_vector(kernel, P[:t], P[t]) * D[:t] * D[t]
         assert np.array_equal(G[t, :t], kc)
         assert G[t, t] == D[t] * D[t]
+        cached = cross_vector(kernel, P[:t], P[t], h_self=own[:t]) * D[:t] * D[t]
+        assert cached.tobytes() == kc.tobytes()
+    assert own.any() == (kernel.family != "gaussian")
 
 
 def test_rg_identity_against_oracle():

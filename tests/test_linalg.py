@@ -110,13 +110,17 @@ def bordered_reference(inv, cross, diag, alpha):
 
 @pytest.mark.parametrize("product", [RegularizedInverse.apply], ids=["supplied"])
 def test_append_is_bit_identical_to_unblocked_formula(product):
-    # past the first refresh, at orders whose update takes several row blocks
+    # past the first refresh, at orders whose update takes several row blocks;
+    # the one inverse grows across order 128, where its rows move to a wider
+    # stride, and 256, where its buffers double, and the update's block
+    # scratch, kept between appends, is replaced at each such step
     rng = np.random.default_rng(8)
     n = REFRESH_EVERY + 100
     assert n // (APPEND_BLOCK_BYTES // (8 * n)) >= 5
     rows = rng.normal(size=(n, 6))
     M = rows @ rows.T / 6.0
     ri = RegularizedInverse(alpha=0.9)
+    layouts = {}  # order -> (stride, capacity) after its append
     for j in range(n):
         cross, diag = M[:j, j], M[j, j]
         expected = bordered_reference(ri.inv.copy(), cross, diag, 0.9)
@@ -127,7 +131,11 @@ def test_append_is_bit_identical_to_unblocked_formula(product):
             ri.refresh(M[: j + 1, : j + 1].copy())  # refresh consumes its gram
             expected = psd_solve(M[: j + 1, : j + 1], 0.9, np.eye(j + 1))
             assert np.array_equal(ri.inv, expected), f"refresh at order {j + 1}"
+        layouts[j + 1] = (ri._inv.shape[1], ri._cap)
     assert ri.refreshes == 1
+    assert layouts[128] == (128, 128) and layouts[129] == (256, 256)
+    assert layouts[256] == (256, 256) and layouts[257] == (384, 512)
+    assert layouts[385] == (512, 512)  # a stride step within the capacity
 
 
 @pytest.mark.parametrize("n", [40, 700], ids=["one-block", "restrides"])

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from koco.errors import DimensionMismatch
 from koco.kernels import gaussian, linear, polynomial
 from koco.kons import Kons, KonsConfig
 from koco.kors import KorsConfig, KorsSampler
@@ -218,6 +219,26 @@ def test_non_finite_point_names_its_round(make, bad_round):
         for mine, theirs in ((learner.kors._rng, fresh.kors._rng),
                              (learner._coin_rng, fresh._coin_rng)):
             assert mine.random() == theirs.random()
+
+
+@pytest.mark.parametrize("make", [lambda: Kons(gaussian(1.0), squared_cfg()),
+                                  lambda: SketchedKons(gaussian(1.0), sketch_cfg(0.5))],
+                         ids=["kons", "skons"])
+def test_point_of_another_dimension_leaves_no_trace(make):
+    events = stream(9, 12)
+    learner = make()
+    for ev in events:
+        learner.step(ev.point, ev)
+    # the learner's store, and the embedded sampler's where there is one
+    stores = [learner.dict]
+    if isinstance(learner, SketchedKons):
+        stores.append(learner.kors.dict)
+    before = (learner.t, len(learner.records), len(learner.rounds.points),
+              [len(store) for store in stores])
+    with pytest.raises(DimensionMismatch):
+        learner.step(np.ones(4), events[-1])
+    assert (learner.t, len(learner.records), len(learner.rounds.points),
+            [len(store) for store in stores]) == before
 
 
 @pytest.mark.parametrize("kernel", [gaussian(1.0), linear(), polynomial(2, 0.5)],

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from koco.errors import StreamParseError, TargetOutOfRange
-from koco.kernels import gaussian
+from koco.kernels import cross_vector, gaussian, linear, polynomial
+from koco.rng import named_rng
 from koco.streams import (SyntheticSpec, emit_csv, generate_stream, ingest_csv)
 
 
@@ -33,6 +34,27 @@ def test_rkhs_target_noise_free_is_clamped_function():
     assert np.max(np.abs(ys)) <= 1.0
     again = generate_stream(spec, 3, kernel=gaussian(1.0))
     assert all(ev.target == ev2.target for ev, ev2 in zip(events, again))
+
+
+@pytest.mark.parametrize("kernel", [gaussian(0.8), linear(), polynomial(3, 0.5)],
+                         ids=lambda k: k.family)
+def test_rkhs_targets_are_the_per_point_evaluation(kernel):
+    # the generator may evaluate its target over the whole stream at once,
+    # but every target is bit for bit the one a row per point gives
+    for seed in range(6):
+        spec = SyntheticSpec(generator="rkhs-target", input_dim=3, horizon=300,
+                             n_centers=8, noise_sd=0.1, clip_c=1.0)
+        rng = named_rng(seed, "stream")
+        xs = rng.normal(size=(spec.horizon, spec.input_dim))
+        centers = rng.normal(size=(spec.n_centers, spec.input_dim))
+        coef = rng.normal(size=spec.n_centers)
+        f = np.array([float(coef @ cross_vector(kernel, centers, x)) for x in xs])
+        f *= 0.8 * spec.clip_c / np.max(np.abs(f))
+        raw = np.clip(f + spec.noise_sd * rng.normal(size=spec.horizon), -1.0, 1.0)
+        events = generate_stream(spec, seed, kernel=kernel)
+        assert np.array_equal(np.array([ev.point for ev in events]), xs)
+        got = np.array([ev.target for ev in events])
+        assert got.tobytes() == raw.tobytes(), f"seed {seed}"
 
 
 def test_same_seed_identical_different_seed_not():

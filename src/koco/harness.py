@@ -225,9 +225,10 @@ class GdBaseline:
         tic = time.perf_counter_ns()
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         t_new = self.t + 1
-        if not np.isfinite(x).all():
-            raise ValueError(f"round {t_new}: point contains NaN/Inf")
-        ybar, yhat = self.predict(x)
+        try:  # the point's one check, its NaN/Inf error named with the round
+            ybar, yhat = self.predict(x)
+        except ValueError as exc:
+            raise ValueError(f"round {t_new}: {exc}") from None
         eta = 1.0 / (self.lipschitz * self.clip_c * np.sqrt(t_new))
         gdot = loss_derivative(ev, yhat)
         self.rounds.append(x, -eta * gdot)

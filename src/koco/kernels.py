@@ -179,11 +179,12 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return acc
 
 
-def rescaled_gram(spec: KernelSpec, points, d, probs) -> np.ndarray:
+def rescaled_gram(spec: KernelSpec, points, d, probs, out=None) -> np.ndarray:
     """The matrix M_ij = k(x_i, x_j)·d_i·d_j·sw_i·sw_j (sw = √(1/p)) that
     the appends of a `koco.kors.Dictionary` grow over its `points` with
     rescale factors `d` and admission probabilities `probs`, rebuilt bit
-    for bit.
+    for bit, into `out` (n×n, such as the solver's own rows on a refresh)
+    when it is given: every entry is overwritten, so it needs no zeroing.
 
     Entry (i, j), i < j, is formed as the appends form it: k_ij as
     `cross_vector(spec, points[:j], points[j])[i]` gives it, times d_i,
@@ -196,7 +197,7 @@ def rescaled_gram(spec: KernelSpec, points, d, probs) -> np.ndarray:
     P = _stack(points)
     d = np.asarray(d, dtype=np.float64)
     n = P.shape[0]
-    G = np.zeros((n, n))
+    G = np.zeros((n, n)) if out is None else out
     if n == 0:
         return G
     w = 1.0 / np.asarray(probs, dtype=np.float64)

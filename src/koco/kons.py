@@ -106,8 +106,9 @@ class NewtonCore:
     multiplies by the inverse; its members are admitted rounds at
     probability 1, whose points and rescale factors it reads from
     `rounds`, the core's one copy of each round, as an embedded sampler's
-    store does; it refreshes its inverse from their gram every
-    REFRESH_EVERY columns (`refreshes`, the only rebuilds a learner has).
+    store does; every REFRESH_EVERY columns it refreshes its inverse from
+    their gram, built in the inverse's own rows, so a refresh holds one
+    n×n temporary (`refreshes`, the only rebuilds a learner has).
     Kernel rows, b, the cached rescaled-gram @ b and `gram()` cover every
     round.
     """

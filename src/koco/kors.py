@@ -117,7 +117,7 @@ class Dictionary:
         factor) weighted by 1/prob, and record the member. A singular
         append raises SchurNotPositive and leaves the store as it was.
         When the append reports a rebuild due, the solver is then rebuilt
-        from `gram()`, which holds the new member.
+        from `gram()`, built in the inverse's own rows with the new member.
 
         The weight w = 1/prob scales the border by √w and the corner by
         w; the product scaled by √w stands for the product of cross·√w,
@@ -137,14 +137,15 @@ class Dictionary:
         self._p[n] = prob
         self._n = n + 1
         if due:
-            self.solver.refresh(self.gram())
+            self.solver.refresh(self.gram(out=self.solver.inv))
 
-    def gram(self) -> np.ndarray:
+    def gram(self, out=None) -> np.ndarray:
         """The matrix M the solver solves with (less alpha I), rebuilt from
-        the members' rounds bit for bit as their columns were appended."""
+        the members' rounds bit for bit as their columns were appended,
+        into `out` when it is given."""
         members = self.indices
         return rescaled_gram(self.kernel, self.rounds.points[members],
-                             self.rounds.d_scale[members], self.probs)
+                             self.rounds.d_scale[members], self.probs, out=out)
 
     def selection_sq_weights(self, horizon: int) -> np.ndarray:
         """Squared selection weights 1/p over stream indices 0..horizon-1
@@ -241,14 +242,13 @@ class KorsSampler:
         """
         if row is None:
             x = np.asarray(x, dtype=np.float64).reshape(-1)
-            if not np.isfinite(x).all():
-                raise ValueError(f"round {self._rounds + 1}: point contains NaN/Inf")
+            members, scored = self.dict.indices, self.dict.rounds
+            try:  # cross_vector checks x, with no members too, before it is kept
+                ks = cross_vector(self.kernel, scored.points[members], x)
+            except ValueError as exc:
+                raise ValueError(f"round {self._rounds + 1}: {exc}") from None
             if not np.isfinite(d_t):
                 raise ValueError(f"round {self._rounds + 1}: d_t is NaN/Inf")
-            # empty before the first admission; cross_vector checks x
-            # either way, so a bad point fails now, and is not kept
-            members, scored = self.dict.indices, self.dict.rounds
-            ks = cross_vector(self.kernel, scored.points[members], x)
             cross = ks * scored.d_scale[members] * d_t * self.dict.sweights
             scored.append(x, d_t)
         else:

@@ -142,9 +142,9 @@ class RegularizedInverse:
     one row/column at a time.
 
     Only the inverse is stored, not M: the owning `koco.kors.Dictionary`,
-    which grows M from its members, rebuilds M and passes it to `refresh`
-    when `append` reports that a rebuild is due (once every REFRESH_EVERY
-    appends, which bounds drift over long runs) and to `audit`. Appends
+    which grows M from its members, rebuilds it in the inverse's rows for
+    `refresh` when `append` says a rebuild is due (every REFRESH_EVERY
+    appends, which bounds drift over long runs) and anew for `audit`. Appends
     that fail `schur_ok` are rejected: a near-singular bordering would
     silently corrupt every later product.
 
@@ -258,11 +258,12 @@ class RegularizedInverse:
 
     def refresh(self, gram: np.ndarray) -> None:
         """Rebuild the inverse by column solves from `gram`, the matrix M
-        the appends grew, exactly symmetric and C-ordered; it is consumed.
-
-        The same values as `psd_solve(gram, alpha, eye)`, with two n×n
-        temporaries: `gram` plus alpha I, factored in place, and the
-        identity, solved in place."""
+        the appends grew, exactly symmetric; it is consumed, and may be
+        `inv` itself, as the owning store builds it. The same values as
+        `psd_solve(gram, alpha, eye)`: `gram` plus alpha I is factored in
+        place (`inv` is one C-ordered square: at a refresh order the stride
+        is the order), the identity, the one n×n temporary, is solved in
+        place, and the solution is copied over the factor."""
         n = self.order
         if n == 0:
             return

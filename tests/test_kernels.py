@@ -123,6 +123,25 @@ def test_rescaled_gram_rows_are_the_cross_vectors(spec, weighted):
     assert rescaled_gram(spec, np.zeros((0, 2)), np.zeros(0), np.zeros(0)).shape == (0, 0)
 
 
+@pytest.mark.parametrize("spec", [gaussian(0.7), linear(), polynomial(3, 0.5)],
+                         ids=["gaussian", "linear", "polynomial"])
+def test_rescaled_gram_into_a_buffer_keeps_every_bit(spec):
+    # built into a NaN-filled buffer, as into the inverse's rows on a
+    # refresh, the gram is the allocated one bit for bit: every entry is
+    # overwritten; at one point and at 400 points of 3 coordinates, whose
+    # gaussian rows take 54-row blocks
+    rng = np.random.default_rng(2)
+    for n in (1, 400):
+        P = rng.normal(size=(n, 3))
+        d = rng.normal(size=n)
+        probs = rng.uniform(0.05, 1.0, size=n)
+        buf = np.full((n, n), np.nan)
+        out = rescaled_gram(spec, P, d, probs, out=buf)
+        assert out is buf
+        expected = rescaled_gram(spec, P, d, probs)
+        assert np.array_equal(buf.view(np.int64), expected.view(np.int64)), n
+
+
 def test_rescaled_gram_blocks_stay_within_the_points():
     # a row block never spans more rows than there are points, so a gram
     # of two points allocates a few hundred bytes, not a block's worth

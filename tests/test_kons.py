@@ -260,7 +260,7 @@ def test_exact_learner_holds_one_square_buffer():
     # the inverse's rows take cap² entries (cap = 1024 past order 512);
     # the largest moment adds the old 512² buffer as the rows move to the
     # new one (1.25 × 8·cap² bytes), and the refresh at order 512 holds
-    # the 512² rows, gram and identity (0.75 ×); a second cap² buffer,
+    # the 512² rows and identity (0.5 ×); a second cap² buffer,
     # such as a tracked copy of M, makes it 2 × 8·cap² or more
     events = rkhs_events(0, 700)
     learner = Kons(gaussian(1.0), squared_cfg())
@@ -273,6 +273,27 @@ def test_exact_learner_holds_one_square_buffer():
     cap = 1024
     assert learner.dict.solver._cap == cap
     assert peak < 1.5 * 8 * cap**2
+
+
+def test_refresh_holds_one_square_temporary():
+    # the rounds at orders 512 and 1024 refresh the inverse: M is built in
+    # its rows and the identity solved is the one n×n temporary (1.01 ×
+    # 8·n² above the round's start); a separate gram makes it 2.01 ×
+    events = rkhs_events(0, 2 * REFRESH_EVERY)
+    learner = Kons(gaussian(1.0), squared_cfg())
+    for t, ev in enumerate(events, start=1):
+        if t % REFRESH_EVERY:
+            learner.step(ev.point, ev)
+            continue
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            learner.step(ev.point, ev)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert learner.refreshes == t // REFRESH_EVERY and len(learner.dict) == t
+        assert peak - start < 1.25 * 8 * t**2, f"round {t}"
 
 
 def test_sampler_holds_one_packed_factor():

@@ -5,7 +5,7 @@ import pytest
 
 from koco import kors, linalg
 from koco.errors import NoConvergence, NotPositiveDefinite, SchurNotPositive
-from koco.kernels import cross_vector, gaussian, linear, polynomial
+from koco.kernels import cross_vector, gaussian, linear, polynomial, rescaled_gram
 from koco.kons import Kons, KonsConfig
 from koco.kors import Dictionary, KorsConfig, KorsSampler
 from koco.linalg import (APPEND_BLOCK_BYTES, REFRESH_EVERY, RegularizedFactor,
@@ -169,6 +169,26 @@ def test_padded_layout_reads_the_unblocked_values(n):
         assert ri.refreshes == 1
     else:
         assert 8 * n * ri._inv.shape[1] <= APPEND_BLOCK_BYTES  # the update is one block
+
+
+def test_refresh_from_its_own_rows_keeps_every_bit():
+    # two inverses grown alike to order 512, where the stride is the order;
+    # one is refreshed from a separate gram, the other from the same M
+    # built into its own rows, as its store builds it
+    rng = np.random.default_rng(10)
+    kernel, n = gaussian(0.8), REFRESH_EVERY
+    P = rng.normal(size=(n, 3))
+    d = rng.uniform(0.2, 2.0, size=n)
+    probs = rng.uniform(0.05, 1.0, size=n)
+    M = rescaled_gram(kernel, P, d, probs)
+    apart, own = RegularizedInverse(alpha=0.9), RegularizedInverse(alpha=0.9)
+    for j in range(n):
+        assert [grow(ri, M[:j, j], M[j, j]) for ri in (apart, own)] == [j + 1 == n] * 2
+    assert own._inv.shape[1] == n
+    apart.refresh(M.copy())
+    own.refresh(rescaled_gram(kernel, P, d, probs, out=own.inv))
+    assert np.array_equal(own.inv.view(np.int64), apart.inv.view(np.int64))
+    assert own.refreshes == apart.refreshes == 1
 
 
 def test_sampler_product_append_matches_the_computed_one():

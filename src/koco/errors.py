@@ -18,6 +18,11 @@ class SchurNotPositive(KocoError):
     singular; the caller must reject the step."""
 
 
+class NonFinitePrediction(KocoError):
+    """A learner's unclipped prediction is NaN or infinite: its
+    preconditioner has lost precision (seen at a very small alpha)."""
+
+
 class NotPositiveDefinite(KocoError):
     """Cholesky factorization failed: the shifted matrix is not PD."""
 

@@ -305,13 +305,15 @@ def write_trace(path, records: list[StepRecord]) -> None:
 
 def run_stream(cfg: ExperimentConfig, seed: int, events: list[LossEvent]):
     """`build_learner`'s learner for cfg at seed, stepped through events;
-    a KocoError raised by a round is prefixed with that round."""
+    a KocoError raised by a round is prefixed with that round, unless
+    its message names it already."""
     learner = build_learner(cfg, seed)
     for t, ev in enumerate(events, start=1):
         try:
             learner.step(ev.point, ev)
         except KocoError as exc:
-            exc.args = (f"round {t}: {exc}",)
+            if not str(exc).startswith(f"round {t}: "):
+                exc.args = (f"round {t}: {exc}",)
             raise
     return learner
 

@@ -108,9 +108,10 @@ def cross_vector(spec: KernelSpec, history, x, *, h_self=None) -> np.ndarray:
     product, which takes another path for one row than for many), so the
     row against part of the history is a gather of the row against all
     of it. A cosine family takes the rows' own terms from `h_self` when
-    their owner caches them, as `_history_self` gives them."""
+    their owner caches them, as `_self_terms` gives them, and the query's
+    from the same function, so k(a, b) equals k(b, a) bit for bit."""
     x = _finite_point(x)
-    x_self = _query_self(spec, x)
+    x_self = None if spec.family == GAUSSIAN else _self_terms(spec, x[None])[0]
     H = _stack(history)
     if H.shape[0] == 0:
         return np.zeros(0)
@@ -118,30 +119,16 @@ def cross_vector(spec: KernelSpec, history, x, *, h_self=None) -> np.ndarray:
         raise DimensionMismatch(f"coordinate dimensions {H.shape[1]} vs {x.shape[0]}")
     if spec.family == GAUSSIAN:
         return _gaussian(spec, _sq_dists(H, x))
-    h_self = _history_self(spec, H) if h_self is None else h_self
+    h_self = _self_terms(spec, H) if h_self is None else h_self
     return _cosine(spec, np.einsum("ij,j->i", H, x), h_self, x_self)
 
 
-def _query_self(spec: KernelSpec, x: np.ndarray) -> float | None:
-    """The query's own term of a cosine normalization, None for the
-    gaussian: |x| (linear) or (x·x + offset)^degree (polynomial), from
-    x @ x. A zero x raises ZeroNormPoint."""
-    if spec.family == GAUSSIAN:
-        return None
-    if spec.family == LINEAR:
-        own = float(np.sqrt(x @ x))
-    else:
-        own = (float(x @ x) + spec.offset) ** spec.degree
-    if own == 0.0:
-        raise ZeroNormPoint(f"{spec.family} kernel undefined for zero vector")
-    return own
-
-
-def _history_self(spec: KernelSpec, H: np.ndarray) -> np.ndarray:
-    """Each history row's own term of a cosine normalization, as
-    `_query_self` defines it but reduced row by row (each row alone, so
-    the terms of a prefix of H are a prefix of the terms of H). A zero
-    row raises ZeroNormPoint."""
+def _self_terms(spec: KernelSpec, H: np.ndarray) -> np.ndarray:
+    """Each row's own term of a cosine normalization: |x| (linear) or
+    (x·x + offset)^degree (polynomial), every point's, a query's too (as
+    `H = x[None]`). Each row is reduced alone, so the terms of a prefix of
+    H are a prefix of the terms of H, and a row's term is the same in any
+    H. A zero row raises ZeroNormPoint."""
     sq = np.sum(H * H, axis=1)
     own = np.sqrt(sq) if spec.family == LINEAR else (sq + spec.offset) ** spec.degree
     if np.any(own == 0.0):
@@ -207,8 +194,7 @@ def rescaled_gram(spec: KernelSpec, points, d, probs, out=None) -> np.ndarray:
     if not np.all(np.isfinite(P)):
         raise ValueError("point contains NaN/Inf")
     if spec.family != GAUSSIAN:
-        h_self = _history_self(spec, P)
-        x_self = [_query_self(spec, x) for x in P]
+        own = _self_terms(spec, P)
     for j0 in range(0, n, rows):
         j1 = min(j0 + rows, n)
         blk = G[j0:j1, :j1]  # rows j0..j1-1; only columns i < j are kept
@@ -217,7 +203,7 @@ def rescaled_gram(spec: KernelSpec, points, d, probs, out=None) -> np.ndarray:
         else:
             for j in range(j0, j1):
                 hx = np.einsum("ij,j->i", P[:j], P[j])
-                blk[j - j0, :j] = _cosine(spec, hx, h_self[:j], x_self[j])
+                blk[j - j0, :j] = _cosine(spec, hx, own[:j], own[j])
         blk *= d[:j1]
         blk *= d[j0:j1, None]
         blk *= sw[:j1]

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchurNotPositive
+from .errors import NonFinitePrediction, SchurNotPositive
 # eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
 # stays because perfbench's tracer hooks its kernels.diag layer on it
-from .kernels import (GAUSSIAN, KernelSpec, _history_self, cross_vector,  # noqa: F401
+from .kernels import (GAUSSIAN, KernelSpec, _self_terms, cross_vector,  # noqa: F401
                       eval_kernel, rescaled_gram)
 from .kors import Dictionary, Rounds
 from .linalg import RegularizedInverse, grown
@@ -173,6 +173,9 @@ class NewtonCore:
         except ValueError as exc:
             raise ValueError(f"round {t_new}: {exc}") from None
         ybar, yhat, kd_m = self._predict(kd)
+        if not math.isfinite(ybar):  # raised before the round changes any state
+            raise NonFinitePrediction(f"round {t_new}: prediction is {ybar}; "
+                                      "the preconditioner lost precision")
 
         cfg = self._kcfg
         eta = eta_at(cfg, t_new)
@@ -193,7 +196,7 @@ class NewtonCore:
         b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / math.sqrt(eta)
 
         t = self.t
-        own = _history_self(self.kernel, x[None])[0] if self.kernel.family != GAUSSIAN else 0.0
+        own = _self_terms(self.kernel, x[None])[0] if self.kernel.family != GAUSSIAN else 0.0
         self.rounds.append(x, d_t)
         if t == self._b.shape[0]:
             self._b = grown(self._b, t_new, t)

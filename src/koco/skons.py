@@ -47,6 +47,8 @@ class SkonsConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if self.kons.eta_mode != ETA_FIXED_SIGMA or self.kons.sigma <= 0:
             raise ValueError("the sketched learner requires fixed positive-sigma stepsizes")
+        if self.kors.alpha != self.kons.alpha:  # leverage is scored against the learner's alpha
+            raise ValueError("kors.alpha must equal kons.alpha")
 
 
 class SketchedKons(NewtonCore):

@@ -505,8 +505,8 @@ CHECKS = [
 ]
 
 
-def run_suite(level: str = "fast", echo=print) -> list[CheckResult]:
-    """Run the named checks of `level` ('fast' or 'full'); one line each."""
+def run_suite(level: str = "fast") -> list[CheckResult]:
+    """Run the named checks of `level` ('fast' or 'full'); one printed line each."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     results = []
@@ -520,7 +520,7 @@ def run_suite(level: str = "fast", echo=print) -> list[CheckResult]:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - tic
         results.append(CheckResult(name, bool(passed), detail, seconds))
-        echo(f"{'PASS' if passed else 'FAIL'} {name} [{seconds:.1f}s] {detail}")
+        print(f"{'PASS' if passed else 'FAIL'} {name} [{seconds:.1f}s] {detail}")
     n_fail = sum(not r.passed for r in results)
-    echo(f"{len(results) - n_fail}/{len(results)} checks passed")
+    print(f"{len(results) - n_fail}/{len(results)} checks passed")
     return results

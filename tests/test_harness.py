@@ -530,6 +530,21 @@ def test_cli_config_error_is_exit_two(tmp_path):
     assert done.stderr.splitlines() == ["config error: bandwidth must be positive"]
 
 
+def test_cli_run_stops_at_a_non_finite_prediction(tmp_path):
+    # at alpha = 1e-8 the exact learner's inverse loses precision and its
+    # unclipped prediction turns NaN at round 334: the run stops there with
+    # exit 1 and writes no summary, not cumulative_loss=nan
+    cfg_path = tmp_path / "tiny-alpha.conf"
+    cfg_path.write_text("kernel = gaussian\nloss = squared\nclip_c = 1\nalpha = 1e-8\n"
+                        f"horizon = 600\nlearner = kons\nout_dir = {tmp_path / 'out'}\n")
+    done = run_cli("run", "--config", str(cfg_path))
+    assert done.returncode == 1, done.stdout
+    named = [line for line in done.stderr.splitlines() if "round" in line]
+    assert named == ["run failed at NonFinitePrediction: round 334: prediction is nan; "
+                     "the preconditioner lost precision"]
+    assert not (tmp_path / "out" / "summary_kons_0.txt").exists()
+
+
 def test_cli_gen_emits_stream(tmp_path):
     cfg_path = tmp_path / "exp.conf"
     cfg_path.write_text(BASE_CONFIG)

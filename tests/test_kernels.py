@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from koco.errors import DimensionMismatch, ZeroNormPoint
-from koco.kernels import (FAMILIES, KernelSpec, cross_vector, eval_kernel, gaussian, gram,
-                          linear, polynomial, rescaled_gram)
+from koco.kernels import (FAMILIES, KernelSpec, _self_terms, cross_vector, eval_kernel,
+                          gaussian, gram, linear, polynomial, rescaled_gram)
 from koco.linalg import sym_eigvals
 
 
@@ -95,6 +95,36 @@ def test_cross_vector_matches_elementwise(spec):
     vec = cross_vector(spec, H, x)
     ref = [eval_kernel(spec, h, x) for h in H]
     assert np.max(np.abs(vec - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [linear(), polynomial(2, 0.5), polynomial(3, 0.0)],
+                         ids=["linear", "polynomial-2", "polynomial-3"])
+def test_cosine_kernels_are_symmetric_bit_for_bit(spec):
+    # a query's own term and a past point's come from one formula, so
+    # k(a, b) and k(b, a) agree in every bit, at 1 to 16 coordinates
+    rng = np.random.default_rng(3)
+    for dim in range(1, 17):
+        for _ in range(50):
+            a, b = rng.normal(size=(2, dim)) * rng.choice([0.2, 1.0, 5.0], size=(2, 1))
+            ab = cross_vector(spec, [a], b)[0]
+            ba = cross_vector(spec, [b], a)[0]
+            assert ab.view(np.int64) == ba.view(np.int64), (dim, ab, ba)
+
+
+@pytest.mark.parametrize("spec", [linear(), polynomial(3, 0.5)], ids=["linear", "polynomial"])
+def test_self_terms_take_each_row_alone(spec):
+    # every row's term is the same in any stack of rows: a prefix's terms
+    # are a prefix of the terms, and one row alone (a query, as x[None])
+    # gets the term it has among all of them
+    rng = np.random.default_rng(4)
+    for dim in list(range(1, 20)) + [31, 64, 129]:
+        H = rng.normal(size=(40, dim)) * rng.choice([0.2, 1.0, 5.0], size=(40, 1))
+        own = _self_terms(spec, H)
+        for m in range(41):
+            assert np.array_equal(_self_terms(spec, H[:m]).view(np.int64),
+                                  own[:m].view(np.int64)), (dim, m)
+        for i in range(40):
+            assert _self_terms(spec, H[i][None])[0].view(np.int64) == own[i].view(np.int64)
 
 
 @pytest.mark.parametrize("spec", [gaussian(0.7), linear(), polynomial(3, 0.5)],

@@ -45,6 +45,13 @@ def test_config_requires_fixed_sigma():
         sketch_cfg(gamma=1.5)
 
 
+def test_config_requires_one_alpha():
+    # the sampler scores leverage against the learner's regularization
+    cfg = sketch_cfg(0.5, alpha=0.5)
+    with pytest.raises(ValueError, match="kors.alpha must equal kons.alpha"):
+        replace(cfg, kors=replace(cfg.kors, alpha=1.0))
+
+
 def test_empty_history_predicts_zero():
     learner = SketchedKons(gaussian(1.0), sketch_cfg(0.5))
     assert learner.predict(np.ones(2)) == (0.0, 0.0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels, losses, oracle, streams
 from .errors import ConfigError, KocoError, StreamParseError
-from .kernels import KernelSpec, cross_vector
+from .kernels import KernelSpec
 from .kons import Kons, KonsConfig, StepRecord
 from .kors import KorsConfig, Rounds, required_budget
 from .losses import LossEvent, clip_to_interval, curvature_profile, loss_derivative, loss_value
@@ -206,18 +206,20 @@ def parse_config(path) -> ExperimentConfig:
 
 class GdBaseline:
     """First-order kernel learner: one coefficient -eta_t*gdot per round,
-    kept with the round's point in `rounds` as its `d_scale`."""
+    kept as the round's `d_scale` in `rounds`, which holds the kernel and
+    the points and forms each round's row."""
 
     def __init__(self, kernel: KernelSpec, clip_c: float, lipschitz: float):
-        self.kernel = kernel
         self.clip_c = clip_c
         self.lipschitz = lipschitz
         self.t = 0
-        self.rounds = Rounds()
+        self.rounds = Rounds(kernel)
         self.records: list[StepRecord] = []
 
     def predict(self, x) -> tuple[float, float]:
-        k = cross_vector(self.kernel, self.rounds.points, x)
+        return self._predict(self.rounds.row(x)[0])
+
+    def _predict(self, k: np.ndarray) -> tuple[float, float]:
         ybar = float(k @ self.rounds.d_scale)
         return ybar, clip_to_interval(ybar, self.clip_c)
 
@@ -225,13 +227,11 @@ class GdBaseline:
         tic = time.perf_counter_ns()
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         t_new = self.t + 1
-        try:  # the point's one check, its NaN/Inf error named with the round
-            ybar, yhat = self.predict(x)
-        except ValueError as exc:
-            raise ValueError(f"round {t_new}: {exc}") from None
+        k, x_self = self.rounds.row(x)  # the point's one check; an error names the round
+        ybar, yhat = self._predict(k)
         eta = 1.0 / (self.lipschitz * self.clip_c * np.sqrt(t_new))
         gdot = loss_derivative(ev, yhat)
-        self.rounds.append(x, -eta * gdot)
+        self.rounds.append(x, -eta * gdot, x_self)
         self.t = t_new
         rec = StepRecord(t=t_new, ybar=ybar, yhat=yhat,
                          loss=loss_value(ev, yhat), gdot=gdot, eta=eta,

@@ -65,29 +65,11 @@ def _finite_point(x) -> np.ndarray:
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """k(x, y); symmetric, with k(x, x) = 1 exactly."""
+    """k(x, y), `cross_vector`'s one-point case; 1 exactly at x = y, once
+    both points have passed its checks."""
     x = _finite_point(x)
-    y = _finite_point(y)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"coordinate dimensions {x.shape[0]} vs {y.shape[0]}")
-    if np.array_equal(x, y):
-        return 1.0
-    if spec.family == GAUSSIAN:
-        d2 = float(np.sum((x - y) ** 2))
-        return float(np.exp(-d2 / (2.0 * spec.bandwidth**2)))
-    if spec.family == LINEAR:
-        nx = float(x @ x)
-        ny = float(y @ y)
-        if nx == 0.0 or ny == 0.0:
-            raise ZeroNormPoint("linear-normalized kernel undefined for zero vector")
-        return float((x @ y) / np.sqrt(nx * ny))
-    # polynomial
-    pxx = (float(x @ x) + spec.offset) ** spec.degree
-    pyy = (float(y @ y) + spec.offset) ** spec.degree
-    if pxx == 0.0 or pyy == 0.0:
-        raise ZeroNormPoint("polynomial-normalized kernel undefined for zero vector")
-    pxy = (float(x @ y) + spec.offset) ** spec.degree
-    return float(pxy / np.sqrt(pxx * pyy))
+    k = float(cross_vector(spec, x[None], y)[0])
+    return 1.0 if np.array_equal(x, y) else k
 
 
 def _stack(history) -> np.ndarray:
@@ -97,26 +79,30 @@ def _stack(history) -> np.ndarray:
     return H
 
 
-def cross_vector(spec: KernelSpec, history, x, *, h_self=None) -> np.ndarray:
+def cross_vector(spec: KernelSpec, history, x, *, h_self=None, x_self=None) -> np.ndarray:
     """Vector of k(history[i], x) for every i, in order.
 
     The query x is checked first, against an empty history too: NaN/Inf
-    raises ValueError, and a zero x under a cosine-normalized family
-    raises ZeroNormPoint, so a point with no history fails in its own
-    round. Entry i reduces over history[i] alone (squared distances one
+    raises ValueError, a zero x under a cosine-normalized family raises
+    ZeroNormPoint, and a length other than the history's raises
+    DimensionMismatch (a (0, 0) history, an empty `Rounds`'s, has no
+    length yet), so a point with no history fails in its own round.
+    Entry i reduces over history[i] alone (squared distances one
     coordinate at a time, inner products through einsum, not a BLAS
     product, which takes another path for one row than for many), so the
     row against part of the history is a gather of the row against all
-    of it. A cosine family takes the rows' own terms from `h_self` when
-    their owner caches them, as `_self_terms` gives them, and the query's
-    from the same function, so k(a, b) equals k(b, a) bit for bit."""
-    x = _finite_point(x)
-    x_self = None if spec.family == GAUSSIAN else _self_terms(spec, x[None])[0]
+    of it. A cosine family takes the rows' own terms from `h_self` and,
+    with x already checked, x's from `x_self`, when `koco.kors.Rounds.row`
+    passes them as `_self_terms` gives them, so k(a, b) equals k(b, a)
+    bit for bit."""
+    if x_self is None:
+        x = _finite_point(x)
+        x_self = None if spec.family == GAUSSIAN else _self_terms(spec, x[None])[0]
     H = _stack(history)
+    if H.shape[1] != x.shape[0] and H.shape != (0, 0):
+        raise DimensionMismatch(f"coordinate dimensions {H.shape[1]} vs {x.shape[0]}")
     if H.shape[0] == 0:
         return np.zeros(0)
-    if H.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"coordinate dimensions {H.shape[1]} vs {x.shape[0]}")
     if spec.family == GAUSSIAN:
         return _gaussian(spec, _sq_dists(H, x))
     h_self = _self_terms(spec, H) if h_self is None else h_self

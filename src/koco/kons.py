@@ -23,8 +23,7 @@ import numpy as np
 from .errors import NonFinitePrediction, SchurNotPositive
 # eval_kernel is not called here (every kernel gives k(x, x) = 1); the name
 # stays because perfbench's tracer hooks its kernels.diag layer on it
-from .kernels import (GAUSSIAN, KernelSpec, _self_terms, cross_vector,  # noqa: F401
-                      eval_kernel, rescaled_gram)
+from .kernels import KernelSpec, eval_kernel, rescaled_gram  # noqa: F401
 from .kors import Dictionary, Rounds
 from .linalg import RegularizedInverse, grown
 from .losses import LossEvent, clip_to_interval, loss_derivative, loss_value
@@ -109,21 +108,20 @@ class NewtonCore:
     store does; every REFRESH_EVERY columns it refreshes its inverse from
     their gram, built in the inverse's own rows, so a refresh holds one
     n×n temporary (`refreshes`, the only rebuilds a learner has).
+    `rounds` holds the kernel and forms each round's row (`Rounds.row`).
     Kernel rows, b, the cached rescaled-gram @ b and `gram()` cover every
     round.
     """
 
     def __init__(self, kernel: KernelSpec, cfg, kons_cfg: KonsConfig):
-        self.kernel = kernel
         self.cfg = cfg
         self.t = 0
         self.records: list[StepRecord] = []
         self._kcfg = kons_cfg
-        self.rounds = Rounds()  # points, and d_i = gdot_i * sqrt(eta_i)
-        self.dict = Dictionary(kernel, RegularizedInverse(kons_cfg.alpha), self.rounds)
+        self.rounds = Rounds(kernel)  # points, and d_i = gdot_i * sqrt(eta_i)
+        self.dict = Dictionary(RegularizedInverse(kons_cfg.alpha), self.rounds)
         self._b = np.zeros(16)       # dual coefficients
         self._kbar_b = np.zeros(16)  # cached rescaled-gram @ b
-        self._own = np.zeros(16)     # a cosine kernel's own term of each round
         self.q_floor_clamps = 0  # nonzero-derivative rounds whose q_t fell below Q_FLOOR
         self.rejected_appends = 0  # accepted columns demoted by a singular append
 
@@ -146,12 +144,7 @@ class NewtonCore:
 
     def predict(self, x) -> tuple[float, float]:
         """(unclipped, clipped) prediction for input x; state untouched."""
-        return self._predict(self._row(x))[:2]
-
-    def _row(self, x) -> np.ndarray:
-        """The round's kernel row over every past round, times their d."""
-        return cross_vector(self.kernel, self.rounds.points, x,
-                            h_self=self._own[: self.t]) * self.rounds.d_scale
+        return self._predict(self.rounds.row(x)[0] * self.rounds.d_scale)[:2]
 
     def _predict(self, kd: np.ndarray) -> tuple[float, float, np.ndarray]:
         """(unclipped, clipped) prediction from the row kd, and kd at the members."""
@@ -168,10 +161,8 @@ class NewtonCore:
         tic = time.perf_counter_ns()
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         t_new = self.t + 1
-        try:  # the point's one check, its NaN/Inf error named with the round
-            kd = self._row(x)
-        except ValueError as exc:
-            raise ValueError(f"round {t_new}: {exc}") from None
+        k, x_self = self.rounds.row(x)  # the point's one check; an error names the round
+        kd = k * self.rounds.d_scale
         ybar, yhat, kd_m = self._predict(kd)
         if not math.isfinite(ybar):  # raised before the round changes any state
             raise NonFinitePrediction(f"round {t_new}: prediction is {ybar}; "
@@ -196,13 +187,10 @@ class NewtonCore:
         b_t = d_t * yhat - d_t * (ybar - yhat) / q - 1.0 / math.sqrt(eta)
 
         t = self.t
-        own = _self_terms(self.kernel, x[None])[0] if self.kernel.family != GAUSSIAN else 0.0
-        self.rounds.append(x, d_t)
+        self.rounds.append(x, d_t, x_self)
         if t == self._b.shape[0]:
             self._b = grown(self._b, t_new, t)
             self._kbar_b = grown(self._kbar_b, t_new, t)
-            self._own = grown(self._own, t_new, t)
-        self._own[t] = own  # a cosine kernel's own term, cached for every later row
         self._b[t] = b_t
         self._kbar_b[:t] += kc * b_t
         self._kbar_b[t] = float(kc @ self._b[:t]) + kdiag * b_t
@@ -247,7 +235,7 @@ class NewtonCore:
         far, rebuilt from the points: below the diagonal, row t holds bit
         for bit the rescaled row `kc` that round t formed, and the matrix
         is its mirror."""
-        return rescaled_gram(self.kernel, self.rounds.points, self.rounds.d_scale,
+        return rescaled_gram(self.rounds.kernel, self.rounds.points, self.rounds.d_scale,
                              np.ones(self.t))
 
     def audit_cache(self) -> float:

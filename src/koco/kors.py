@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_vector, rescaled_gram
+from .errors import KocoError
+from .kernels import GAUSSIAN, KernelSpec, _finite_point, _self_terms, cross_vector, rescaled_gram
 from .linalg import RegularizedFactor, grown, schur_ok
 from .rng import bernoulli, named_rng
 
@@ -71,19 +72,17 @@ class Dictionary:
     stream indices, admission probabilities p and selection weights in
     grown arrays, and `solver`, which solves with M + alpha I for their
     weighted rescaled gram M_ij = k(x_i, x_j)·d_i·d_j·√(1/p_i)·√(1/p_j)
-    (1/p_j·d_j² on the diagonal). It holds no point or rescale factor: it
-    gathers its members' from `rounds`, which holds every round's
-    `points` and `d_scale` and writes a round before admitting it. The
-    solver is the caller's, empty: a `koco.linalg.RegularizedInverse`
-    where M's inverse multiplies (the Newton-step learners'
-    preconditioner, p = 1 for every member), a
+    (1/p_j·d_j² on the diagonal). It holds no kernel, point or rescale
+    factor: it reads them from `rounds`, which writes a round before
+    admitting it. The solver is the caller's, empty: a
+    `koco.linalg.RegularizedInverse` where M's inverse multiplies (the
+    Newton-step learners' preconditioner, p = 1 for every member), a
     `koco.linalg.RegularizedFactor` where it only scores (the sampler's
     dictionary). The store rebuilds the solver from `gram()` when the
     solver's `append` says a rebuild is due, which only the inverse
     does."""
 
-    def __init__(self, kernel: KernelSpec, solver, rounds):
-        self.kernel = kernel
+    def __init__(self, solver, rounds):
         self.solver = solver
         self.rounds = rounds
         self._n = 0
@@ -144,7 +143,7 @@ class Dictionary:
         the members' rounds bit for bit as their columns were appended,
         into `out` when it is given."""
         members = self.indices
-        return rescaled_gram(self.kernel, self.rounds.points[members],
+        return rescaled_gram(self.rounds.kernel, self.rounds.points[members],
                              self.rounds.d_scale[members], self.probs, out=out)
 
     def selection_sq_weights(self, horizon: int) -> np.ndarray:
@@ -157,17 +156,23 @@ class Dictionary:
 
 
 class Rounds:
-    """The points of a stream's rounds so far and one scalar per round,
-    `d_scale`, in grown arrays. For a `Dictionary` to gather its members'
-    from, the scalar is the round's rescale factor d: a Newton-step
-    learner's rounds, which its store and its embedded sampler's read,
-    or a standalone sampler's own. The first-order baseline
-    (`koco.harness.GdBaseline`) keeps its coefficients there."""
+    """A stream's kernel and its rounds so far: each round's point, one
+    scalar, `d_scale`, and under a cosine family the point's own term, in
+    grown arrays; `row` forms every kernel row a step uses. The scalar
+    is the round's rescale factor d in a Newton-step learner's rounds,
+    which its store and its embedded sampler's read, and in a standalone
+    sampler's; the first-order baseline (`koco.harness.GdBaseline`) keeps
+    its coefficients there."""
 
-    def __init__(self):
+    def __init__(self, kernel: KernelSpec):
+        self.kernel = kernel
         self._n = 0
         self._pts = np.zeros((16, 0))  # (cap, dim); sized on the first round
         self._d = np.zeros(16)
+        self._own = None if kernel.family == GAUSSIAN else np.zeros(16)
+
+    def __len__(self):
+        return self._n
 
     @property
     def points(self) -> np.ndarray:
@@ -177,15 +182,39 @@ class Rounds:
     def d_scale(self) -> np.ndarray:
         return self._d[: self._n]
 
-    def append(self, x: np.ndarray, d_t: float) -> None:
+    def row(self, x, at=None) -> tuple[np.ndarray, float | None]:
+        """(k, x_self): the kernel row of x against every round, or the
+        rounds at indices `at`, and x's own cosine term (None under the
+        gaussian), which `append` takes. x is checked once, its length
+        against the rounds' whatever `at` selects, and an error names the
+        round x would be."""
+        n, own = self._n, self._own
+        at = slice(n) if at is None else at
+        try:
+            x_self = h_self = None
+            if own is not None:  # x checked here, so cross_vector takes it as it is
+                x = _finite_point(x)
+                x_self, h_self = _self_terms(self.kernel, x[None])[0], own[at]
+            return cross_vector(self.kernel, self._pts[at], x, h_self=h_self,
+                                x_self=x_self), x_self
+        except (ValueError, KocoError) as exc:
+            exc.args = (f"round {n + 1}: {exc}",)
+            raise
+
+    def append(self, x: np.ndarray, d_t: float, x_self: float | None) -> None:
+        """Write the next round: x and x_self as `row` gave them, and d_t."""
         n = self._n
         if n == 0:
             self._pts = np.zeros((16, x.shape[0]))
         elif n == self._d.shape[0]:
             self._pts = grown(self._pts, n + 1, n)
             self._d = grown(self._d, n + 1, n)
+            if self._own is not None:
+                self._own = grown(self._own, n + 1, n)
         self._pts[n] = x
         self._d[n] = d_t
+        if self._own is not None:
+            self._own[n] = x_self
         self._n = n + 1
 
 
@@ -197,20 +226,19 @@ class KorsSampler:
     members, none when the caller passes its kernel row, so a step costs
     O(size^2).
 
-    `rounds`, the `Rounds` of the points scored that the dictionary
-    gathers its members' from, is an embedding learner's, which writes
-    each round before the sampler scores it and passes the round's kernel
-    `row` to `step`. By default the sampler keeps its own, of every point
-    it scores.
+    `rounds`, the `Rounds` that the dictionary reads its kernel and
+    members' points from, is an embedding learner's, which writes each
+    round before the sampler scores it and passes the round's kernel
+    `row` to `step`. By default the sampler keeps its own over `kernel`,
+    of every point it scores, and forms the column against its members
+    with `Rounds.row`.
     """
 
     def __init__(self, kernel: KernelSpec, cfg: KorsConfig, rounds=None):
-        self.kernel = kernel
         self.cfg = cfg
-        self.dict = Dictionary(kernel, RegularizedFactor(cfg.alpha),
-                               Rounds() if rounds is None else rounds)
+        self.dict = Dictionary(RegularizedFactor(cfg.alpha),
+                               Rounds(kernel) if rounds is None else rounds)
         self._rng = named_rng(cfg.rng_seed, "kors-coins")
-        self._rounds = 0  # points scored so far
 
     @property
     def size(self) -> int:
@@ -238,23 +266,20 @@ class KorsSampler:
         of an already checked x over every point scored before it; the
         members' weighted column is gathered from it, x is neither
         checked, evaluated nor kept, and d_t is not checked. Without
-        `row`, a non-finite x or d_t raises ValueError naming the round.
+        `row`, a bad x (`Rounds.row`) or d_t raises naming the round.
         """
+        scored = self.dict.rounds
         if row is None:
             x = np.asarray(x, dtype=np.float64).reshape(-1)
-            members, scored = self.dict.indices, self.dict.rounds
-            try:  # cross_vector checks x, with no members too, before it is kept
-                ks = cross_vector(self.kernel, scored.points[members], x)
-            except ValueError as exc:
-                raise ValueError(f"round {self._rounds + 1}: {exc}") from None
+            members = self.dict.indices
+            ks, x_self = scored.row(x, at=members)
             if not np.isfinite(d_t):
-                raise ValueError(f"round {self._rounds + 1}: d_t is NaN/Inf")
+                raise ValueError(f"round {len(scored) + 1}: d_t is NaN/Inf")
             cross = ks * scored.d_scale[members] * d_t * self.dict.sweights
-            scored.append(x, d_t)
+            scored.append(x, d_t, x_self)
         else:
             cross = row[self.dict.indices] * self.dict.sweights
-        index = self._rounds
-        self._rounds += 1
+        index = len(scored) - 1
         kdiag = d_t * d_t  # k(x, x) = 1 for every kernel in koco.kernels
         s, lc = self.dict.solver.schur_complement(cross, kdiag)
         tau = 0.0

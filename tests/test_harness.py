@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from koco import oracle, streams
-from koco.errors import ConfigError, StreamParseError, ZeroNormPoint
-from koco.harness import (TRACE_COLUMNS, ExperimentConfig, GdBaseline, parse_config_text,
-                          run_experiment, run_stream, summarize_run)
-from koco.kernels import gaussian, gram
+from koco import harness, kernels, kons, kors, oracle, skons, streams
+from koco.errors import ConfigError, DimensionMismatch, StreamParseError, ZeroNormPoint
+from koco.harness import (TRACE_COLUMNS, ExperimentConfig, GdBaseline, build_learner,
+                          parse_config_text, run_experiment, run_stream, summarize_run)
+from koco.kernels import gaussian, gram, linear, polynomial
 from koco.linalg import REFRESH_EVERY
 from koco.losses import LossEvent, curvature_profile, loss_value
 from koco.oracle import ComparatorResult
@@ -488,6 +488,59 @@ def test_gd_baseline_non_finite_point_names_its_round(bad_round):
         want = fresh.step(x, LossEvent(x, "squared", 0.5))
     rec = gd.step(x, LossEvent(x, "squared", 0.5))
     assert replace(rec, elapsed_us=0.0) == replace(want, elapsed_us=0.0)
+
+
+STEPPERS = ["kons", "skons", "gd-baseline", "kors"]
+
+
+def stepper(name, kernel, d_t=1.0):
+    """A function that steps one point through one of the four steppers
+    over kernel: a learner `build_learner` builds, or a standalone
+    sampler at rescale factor d_t (at 0 its dictionary stays empty)."""
+    cfg = replace(parse_config_text(BASE_CONFIG), kernel=kernel)
+    if name == "kors":
+        sampler = kors.KorsSampler(kernel, cfg.kors_config(0))
+        return lambda x: sampler.step(x, d_t)
+    learner = build_learner(replace(cfg, learner=name), 0)
+    return lambda x: learner.step(x, LossEvent(x, "squared", 0.5))
+
+
+@pytest.mark.parametrize("name", STEPPERS)
+@pytest.mark.parametrize("bad, error", [(np.zeros(2), ZeroNormPoint),
+                                        (np.ones(3), DimensionMismatch),
+                                        (np.array([np.nan, 1.0]), ValueError)],
+                         ids=["zero", "length", "nan"])
+def test_a_direct_step_names_the_round_of_a_bad_point(name, bad, error):
+    # the stream's rounds check the point and name its round, for every
+    # error, outside run_stream too; a sampler with no member checks the
+    # length against the points it has kept
+    step = stepper(name, linear(), d_t=0.0)
+    for x in ([0.2, -0.1], [0.5, 0.3]):
+        step(np.array(x))
+    with pytest.raises(error, match="^round 3: "):
+        step(bad)
+
+
+@pytest.mark.parametrize("name", STEPPERS)
+@pytest.mark.parametrize("kernel", [linear(), polynomial(2, 0.5)], ids=["linear", "polynomial"])
+def test_a_step_computes_one_self_term(name, kernel, monkeypatch):
+    # the rounds cache each point's own cosine term, so a step computes
+    # the query's alone, once, whichever stepper takes it
+    rows = []
+
+    def counted(spec, H, self_terms=kernels._self_terms):
+        rows.append(len(H))
+        return self_terms(spec, H)
+
+    for module in (kernels, kons, kors, skons, harness):
+        if hasattr(module, "_self_terms"):
+            monkeypatch.setattr(module, "_self_terms", counted)
+    step = stepper(name, kernel)
+    rng = np.random.default_rng(0)
+    for t in range(1, 21):
+        rows.clear()
+        step(rng.normal(size=2))
+        assert sum(rows) == 1, (t, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -89,12 +89,30 @@ def test_cross_vector_empty_and_self():
 
 @pytest.mark.parametrize("spec", [gaussian(0.8), linear(), polynomial(2, 1.0)])
 def test_cross_vector_matches_elementwise(spec):
+    # the gram's last row, below the diagonal, is the query's row
     rng = np.random.default_rng(0)
     H = rng.normal(size=(3, 4))
     x = rng.normal(size=4)
-    vec = cross_vector(spec, H, x)
-    ref = [eval_kernel(spec, h, x) for h in H]
-    assert np.max(np.abs(vec - ref)) < 1e-12
+    ref = gram(spec, np.vstack([H, x]))[-1, :-1]
+    assert cross_vector(spec, H, x).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("spec", [gaussian(0.8), linear(), polynomial(2, 0.0)],
+                         ids=["gaussian", "linear", "polynomial"])
+def test_eval_kernel_is_the_one_point_row(spec):
+    # k(x, x) = 1 is taken only after both points are checked, so a zero
+    # point of a cosine family fails against itself as in cross_vector
+    x, y = np.array([0.3, -1.2]), np.array([-0.7, 0.4])
+    assert eval_kernel(spec, x, x) == 1.0
+    assert eval_kernel(spec, x, y) == cross_vector(spec, [x], y)[0]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            eval_kernel(spec, [bad, 1.0], y)
+    if spec.family == "gaussian":
+        assert eval_kernel(spec, np.zeros(2), np.zeros(2)) == 1.0
+    else:
+        with pytest.raises(ZeroNormPoint):
+            eval_kernel(spec, np.zeros(2), np.zeros(2))
 
 
 @pytest.mark.parametrize("spec", [linear(), polynomial(2, 0.5), polynomial(3, 0.0)],

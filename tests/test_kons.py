@@ -343,21 +343,22 @@ def test_demoted_round_reports_the_leverage_it_has():
 def test_gram_rows_are_the_rows_each_round_formed(kernel):
     # the one builder of the rounds' rescaled gram: below the diagonal,
     # row t is the row round t formed, (k·d_i)·d_t, bit for bit, whether
-    # from the points alone or, as the learner forms it, from the cosine
-    # normalization terms it cached as each round was written
+    # from the points alone or, as the learner forms it, by its rounds'
+    # `row` from the cosine normalization terms they cached as each round
+    # was written
     _, events = unit_feature_stream(3, 60)
     learner = Kons(kernel, squared_cfg())
     run(learner, events)
-    G, P, D = learner.gram(), learner.rounds.points, learner.rounds.d_scale
-    own = learner._own[: learner.t]
+    rounds = learner.rounds
+    G, P, D = learner.gram(), rounds.points, rounds.d_scale
     assert np.array_equal(G, G.T)
     for t in range(learner.t):
         kc = cross_vector(kernel, P[:t], P[t]) * D[:t] * D[t]
         assert np.array_equal(G[t, :t], kc)
         assert G[t, t] == D[t] * D[t]
-        cached = cross_vector(kernel, P[:t], P[t], h_self=own[:t]) * D[:t] * D[t]
+        cached = rounds.row(P[t], at=np.arange(t))[0] * D[:t] * D[t]
         assert cached.tobytes() == kc.tobytes()
-    assert own.any() == (kernel.family != "gaussian")
+    assert (rounds._own is None) == (kernel.family == "gaussian")
 
 
 def test_rg_identity_against_oracle():

@@ -99,7 +99,7 @@ def test_non_finite_point_names_its_round():
     fresh.step(np.zeros(2))
     clean = np.array([0.5, -0.5])
     assert s.step(clean) == fresh.step(clean)
-    assert s._rounds == fresh._rounds == 3
+    assert len(s.dict.rounds) == len(fresh.dict.rounds) == 3
     assert s._rng.random() == fresh._rng.random()
 
 
@@ -180,9 +180,9 @@ def test_singular_admit_leaves_the_store_unchanged():
     # at alpha 1e-13 a second copy of the member is spanned by it: its
     # Schur complement is below SCHUR_RTOL, and the store keeps its member
     # and its solver at that member's order, whichever solver it holds
-    rounds = SimpleNamespace(points=np.ones((2, 2)), d_scale=np.ones(2))
+    rounds = SimpleNamespace(kernel=gaussian(1.0), points=np.ones((2, 2)), d_scale=np.ones(2))
     for solver in (RegularizedInverse, RegularizedFactor):
-        store = Dictionary(gaussian(1.0), solver(1e-13), rounds)
+        store = Dictionary(solver(1e-13), rounds)
         store.admit(0, 1.0, np.zeros(0), 1.0, np.zeros(0))
         cross = np.ones(1)
         with pytest.raises(SchurNotPositive):

@@ -304,9 +304,9 @@ def test_factor_scores_match_the_inverse(monkeypatch):
     points = rng.normal(size=(300, 3))
     d = rng.uniform(0.2, 2.0, size=300)
     probs = rng.uniform(0.05, 1.0, size=300)
-    rounds = SimpleNamespace(points=points, d_scale=d)
-    stores = [Dictionary(kernel, RegularizedInverse(1.0), rounds),
-              Dictionary(kernel, RegularizedFactor(1.0), rounds)]
+    rounds = SimpleNamespace(kernel=kernel, points=points, d_scale=d)
+    stores = [Dictionary(RegularizedInverse(1.0), rounds),
+              Dictionary(RegularizedFactor(1.0), rounds)]
     for j, (x, d_t, prob) in enumerate(zip(points, d, probs)):
         cross = cross_vector(kernel, points[:j], x) * d[:j] * d_t * stores[0].sweights
         scores = [store.solver.schur_complement(cross, d_t * d_t) for store in stores]

@@ -222,7 +222,7 @@ def test_non_finite_point_names_its_round(make, bad_round):
     want = [fresh.step(ev.point, ev) for ev in events][-1]
     assert replace(rec, elapsed_us=0.0) == replace(want, elapsed_us=0.0)
     if isinstance(learner, SketchedKons):
-        assert learner.kors._rounds == fresh.kors._rounds == bad_round
+        assert len(learner.kors.dict.rounds) == len(fresh.kors.dict.rounds) == bad_round
         for mine, theirs in ((learner.kors._rng, fresh.kors._rng),
                              (learner._coin_rng, fresh._coin_rng)):
             assert mine.random() == theirs.random()
